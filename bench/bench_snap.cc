@@ -38,6 +38,7 @@
 
 #include "core/mc/mc_system.hh"
 #include "obs/json.hh"
+#include "temp_dir.hh"
 
 using namespace sasos;
 
@@ -116,10 +117,13 @@ dumpOf(core::mc::McSystem &sys)
     return os.str();
 }
 
+/** Where the oracles park their images: private to this process and
+ * removed at exit, so concurrent runs never share a file. */
 std::string
 scratchImagePath(const char *name)
 {
-    return (std::filesystem::temp_directory_path() / name).string();
+    static const ScopedTempDir dir("bench_snap");
+    return dir.file(name);
 }
 
 /** One oracle verdict, for the table and the json artifact. */

@@ -147,10 +147,6 @@ struct WorkerSlot
     bool idle = false;
     /** Campaign position of the assigned cell; -1 when idle. */
     long cell = -1;
-    /** One-shot chaos kill armed for the current assignment. */
-    bool doomed = false;
-    u64 killAfterImages = 0;
-    u64 imagesThisCell = 0;
     /** Latest accepted checkpoint for the current assignment. */
     std::shared_ptr<const std::vector<u8>> image;
     u64 refsDone = 0;
@@ -375,6 +371,10 @@ class Coordinator
             // the cell -- deterministic, unlike a raced wire Preempt.
             if (cell.migratePlanned && options_.checkpointEvery)
                 order.preemptFirst = true;
+            // So does the chaos kill: the worker exits at exactly
+            // this point of the cell, never after its Done.
+            if (cell.doomKill)
+                order.killAfterImages = cell.killAfterImages;
 
             if (!writeFrame(slot.wfd, encodeMessage(order))) {
                 // Worker died before taking the order; put the work
@@ -390,32 +390,17 @@ class Coordinator
             ++assignments_;
             slot.idle = false;
             slot.cell = static_cast<long>(work.index);
-            slot.imagesThisCell = 0;
             slot.image = work.image;
             slot.refsDone = work.refsDone;
             slot.completed = work.completed;
             slot.failed = work.failed;
             slot.lastActive = Clock::now();
-            slot.doomed = cell.doomKill;
-            slot.killAfterImages = cell.killAfterImages;
             cell.doomKill = false; // One-shot.
             if (order.preemptFirst) {
                 cell.migratePlanned = false; // One-shot.
                 ++stats_.preempts;
             }
-
-            if (slot.doomed && slot.killAfterImages == 0)
-                chaosKill(slot);
         }
-    }
-
-    void
-    chaosKill(WorkerSlot &slot)
-    {
-        slot.doomed = false;
-        ++stats_.chaosKills;
-        ::kill(slot.pid, SIGKILL);
-        // Death is observed as EOF on the pipe and handled there.
     }
 
     void
@@ -566,9 +551,6 @@ class Coordinator
         slot.refsDone = message.refsDone;
         slot.completed = message.completed;
         slot.failed = message.failed;
-        ++slot.imagesThisCell;
-        if (slot.doomed && slot.imagesThisCell >= slot.killAfterImages)
-            chaosKill(slot);
     }
 
     void
@@ -600,7 +582,6 @@ class Coordinator
         }
         slot.cell = -1;
         slot.idle = true;
-        slot.doomed = false;
         slot.image.reset();
     }
 
@@ -615,6 +596,8 @@ class Coordinator
         ++stats_.deaths;
         int status = 0;
         ::waitpid(slot.pid, &status, 0);
+        if (WIFEXITED(status) && WEXITSTATUS(status) == kChaosExitStatus)
+            ++stats_.chaosKills;
         ::close(slot.rfd);
         ::close(slot.wfd);
         slot.rfd = slot.wfd = -1;

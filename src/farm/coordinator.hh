@@ -12,7 +12,7 @@
  * which worker ran what, in which order, and how many times a cell
  * was restarted.
  *
- * Failure handling: a worker that dies (crash, chaos SIGKILL, or
+ * Failure handling: a worker that dies (crash, chaos exit, or
  * watchdog timeout), poisons its frame stream, or ships a corrupt
  * image is reaped and its cell is requeued -- resumed from the last
  * good checkpoint image when one exists, restarted from the cell
@@ -22,11 +22,15 @@
  * remains, so the farm finishes at full width even under a hostile
  * kill schedule.
  *
- * Chaos: killRate is a seeded per-cell probability of one SIGKILL
- * during that cell's service -- immediately after assignment or after
- * a seeded number of checkpoints, so both restart-from-scratch and
- * resume-from-image recovery paths are exercised. Each cell is doomed
- * at most once, so chaos never livelocks a campaign. migrateRate
+ * Chaos: killRate is a seeded per-cell probability that the worker
+ * serving the cell dies once -- on receipt of the order or right after
+ * shipping a seeded number of checkpoint images, so both
+ * restart-from-scratch and resume-from-image recovery paths are
+ * exercised. The death point rides in the order
+ * (Message::killAfterImages) and the worker _exits there, so it can
+ * never land after the cell's Done: FarmStats is a pure function of
+ * the campaign, the options and killSeed. Each cell is doomed at most
+ * once, so chaos never livelocks a campaign. migrateRate
  * instead preempts the cell at its first checkpoint and resumes it on
  * a different worker: the graceful elasticity path.
  *
@@ -61,7 +65,7 @@ struct FarmOptions
      * lost-work/IO trade -- results stay bit-identical to serial
      * either way. */
     bool adaptiveCheckpoint = false;
-    /** Seeded probability of one chaos SIGKILL per cell
+    /** Seeded probability of one chaos worker death per cell
      * (farm_kill_rate=). */
     double killRate = 0.0;
     /** Seeded probability of one preempt-and-migrate per cell
@@ -82,6 +86,7 @@ struct FarmStats
 {
     u64 forks = 0;
     u64 deaths = 0;
+    /** Workers that exited at their order's chaos point. */
     u64 chaosKills = 0;
     u64 timeouts = 0;
     u64 retries = 0;

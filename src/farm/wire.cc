@@ -53,11 +53,13 @@ encodeMessage(const Message &message)
         w.put64(message.cell);
         w.put64(message.checkpointEvery);
         w.putBool(message.preemptFirst);
+        w.put64(message.killAfterImages);
         break;
       case MsgKind::Resume:
         w.put64(message.cell);
         w.put64(message.checkpointEvery);
         w.putBool(message.preemptFirst);
+        w.put64(message.killAfterImages);
         w.put64(message.refsDone);
         w.put64(message.completed);
         w.put64(message.failed);
@@ -116,11 +118,15 @@ decodeMessage(const std::vector<u8> &frame)
         message.cell = r.get64();
         message.checkpointEvery = r.get64();
         message.preemptFirst = r.getBool();
+        if (r.version() >= 4)
+            message.killAfterImages = r.get64();
         break;
       case MsgKind::Resume:
         message.cell = r.get64();
         message.checkpointEvery = r.get64();
         message.preemptFirst = r.getBool();
+        if (r.version() >= 4)
+            message.killAfterImages = r.get64();
         message.refsDone = r.get64();
         message.completed = r.get64();
         message.failed = r.get64();

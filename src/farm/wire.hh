@@ -32,6 +32,9 @@ namespace sasos::farm
  * checkpoint images of farm-sized machines are a few hundred KB). */
 constexpr u64 kMaxFrameBytes = u64{1} << 28;
 
+/** Message::killAfterImages value for an order with no chaos kill. */
+constexpr u64 kNeverKill = ~u64{0};
+
 /** Every message crossing a farm pipe. */
 enum class MsgKind : u8
 {
@@ -76,6 +79,13 @@ struct Message
      * can instead race a fast cell's completion (and is then
      * correctly ignored as stale). */
     bool preemptFirst = false;
+    /** Assign/Resume: the seeded chaos kill as a protocol event. The
+     * worker exits abruptly (kChaosExitStatus) right after shipping
+     * this many checkpoint images -- 0 exits on receipt -- so the
+     * kill lands at the same point of the cell on every run, never
+     * after the cell's Done. kNeverKill disables it. Absent from v3
+     * frames, which decode as kNeverKill. */
+    u64 killAfterImages = kNeverKill;
     /** Image: the worker abandoned the cell (preempt or SIGTERM). */
     bool stopped = false;
     /** Resume/Image: a sealed snapshot image (snap envelope). */

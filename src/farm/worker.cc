@@ -79,15 +79,28 @@ sendImage(int wfd, const CellExecution &exec, bool stopped)
     return writeFrame(wfd, encodeMessage(message));
 }
 
-/** Run one assignment (fresh or resumed) to completion, preemption
- * or shutdown. @return false when the worker should exit. */
-bool
+/** How one assignment left the worker. */
+enum class CellEnd
+{
+    /** Ready for the next order. */
+    Next,
+    /** Shutdown, or the coordinator is gone. */
+    Exit,
+    /** The order's chaos point was reached. */
+    Chaos,
+};
+
+/** Run one assignment (fresh or resumed) to completion, preemption,
+ * shutdown or its chaos point. */
+CellEnd
 serveCell(const Campaign &campaign, const Message &order, int rfd,
           int wfd)
 {
     const SweepCell *cell = campaign.byId(order.cell);
     if (cell == nullptr)
         SASOS_FATAL("farm worker assigned unknown cell id ", order.cell);
+    if (order.killAfterImages == 0)
+        return CellEnd::Chaos;
     const u32 tid = static_cast<u32>(cell->id) + 1;
 
     std::unique_ptr<CellExecution> exec;
@@ -105,21 +118,27 @@ serveCell(const Campaign &campaign, const Message &order, int rfd,
     // frames are then only honored between cells.
     const u64 slice = order.checkpointEvery ? order.checkpointEvery
                                             : cell->references;
+    const auto next = [](bool written) {
+        return written ? CellEnd::Next : CellEnd::Exit;
+    };
+    u64 images = 0;
     while (!exec->done()) {
         exec->step(slice);
         const CellVerdict verdict = drainControl(rfd, cell->id);
         if (verdict.shutdown)
-            return false;
+            return CellEnd::Exit;
         if (exec->done())
             break;
         if (verdict.preempt || order.preemptFirst) {
             // Final image, flagged stopped: the coordinator migrates
             // the cell to another worker from exactly this point.
-            return sendImage(wfd, *exec, true);
+            return next(sendImage(wfd, *exec, true));
         }
         if (order.checkpointEvery) {
             if (!sendImage(wfd, *exec, false))
-                return false;
+                return CellEnd::Exit;
+            if (++images == order.killAfterImages)
+                return CellEnd::Chaos;
         }
     }
 
@@ -127,7 +146,7 @@ serveCell(const Campaign &campaign, const Message &order, int rfd,
     done.kind = MsgKind::Done;
     done.cell = cell->id;
     done.result = exec->finish();
-    return writeFrame(wfd, encodeMessage(done));
+    return next(writeFrame(wfd, encodeMessage(done)));
 }
 
 } // namespace
@@ -162,8 +181,14 @@ workerMain(const Campaign &campaign, int rfd, int wfd, u64 worker)
             return 0;
           case MsgKind::Assign:
           case MsgKind::Resume:
-            if (!serveCell(campaign, message, rfd, wfd))
+            switch (serveCell(campaign, message, rfd, wfd)) {
+              case CellEnd::Next:
+                break;
+              case CellEnd::Exit:
                 return 0;
+              case CellEnd::Chaos:
+                return kChaosExitStatus;
+            }
             break;
           case MsgKind::Preempt:
             // Stale: the cell it names was already finished (its

@@ -15,7 +15,9 @@
  * the worker checkpoint at the next slice boundary, ship the image
  * flagged `stopped`, and drop the cell so another worker can resume
  * it; every path ends in results bit-identical to an uninterrupted
- * run, which the farm oracle enforces.
+ * run, which the farm oracle enforces. An order's killAfterImages is
+ * the seeded chaos kill: the worker exits abruptly, without a Done,
+ * right at that point of the cell.
  */
 
 #ifndef SASOS_FARM_WORKER_HH
@@ -26,13 +28,17 @@
 namespace sasos::farm
 {
 
+/** Exit status of a worker that left at its order's chaos point. */
+constexpr int kChaosExitStatus = 86;
+
 /**
  * Serve cell assignments until Shutdown or EOF.
  * @param campaign the (inherited) campaign; cells are named by id.
  * @param rfd pipe end carrying coordinator -> worker frames.
  * @param wfd pipe end carrying worker -> coordinator frames.
  * @param worker this worker's farm index, echoed in Hello.
- * @return process exit status (0 on clean shutdown).
+ * @return process exit status (0 on clean shutdown,
+ *         kChaosExitStatus at a chaos point).
  */
 int workerMain(const Campaign &campaign, int rfd, int wfd, u64 worker);
 

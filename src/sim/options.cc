@@ -151,7 +151,7 @@ Options::helpText()
            "  farm_workers=N         sweep-farm worker processes\n"
            "  farm_checkpoint_every=N  refs between worker checkpoints\n"
            "                         (0 = no mid-cell checkpoints)\n"
-           "  farm_kill_rate=P       chaos: P(one SIGKILL) per cell\n"
+           "  farm_kill_rate=P       chaos: P(one worker death) per cell\n"
            "  farm_migrate_rate=P    chaos: P(preempt+migrate) per cell\n"
            "  farm_kill_seed=N       chaos schedule seed\n"
            "  farm_timeout=S farm_max_attempts=N   farm watchdog/retry\n"

@@ -43,8 +43,15 @@ constexpr char kMagic[8] = {'S', 'A', 'S', 'O', 'S', 'N', 'A', 'P'};
  * v2: frame refcounts in the allocator image, CoW page set in the
  * kernel image, shared frames allowed in the page table.
  * v3: protection-key model (key tables, key-permission register file)
- * and the kprRefill/keyAssign cost constants in config signatures. */
-constexpr u32 kFormatVersion = 3;
+ * and the kprRefill/keyAssign cost constants in config signatures.
+ * v4: the frame allocator's O(live) form (high-water mark, refcounts
+ * below it, freed stack) instead of a bitmap and the verbatim free
+ * list; the farm's Assign/Resume orders carry the chaos exit point. */
+constexpr u32 kFormatVersion = 4;
+
+/** Oldest version this build still reads. Readers of a section whose
+ * layout changed since then branch on SnapReader::version(). */
+constexpr u32 kMinFormatVersion = 3;
 
 /** Envelope size: magic[8] version[4] reserved[4] length[8] fnv[8]. */
 constexpr std::size_t kHeaderBytes = 32;
@@ -99,7 +106,8 @@ preflightEnvelope(const std::vector<u8> &image)
         return "image smaller than the header";
     if (std::memcmp(image.data(), kMagic, sizeof(kMagic)) != 0)
         return "bad magic";
-    if (readLe32(image.data() + 8) != kFormatVersion)
+    const u32 version = readLe32(image.data() + 8);
+    if (version < kMinFormatVersion || version > kFormatVersion)
         return "unsupported format version";
     if (readLe32(image.data() + 12) != 0)
         return "nonzero reserved header field";
@@ -231,11 +239,11 @@ class SnapReader
                         "-byte header");
         if (std::memcmp(image_.data(), kMagic, sizeof(kMagic)) != 0)
             SASOS_FATAL("not a snapshot: bad magic");
-        const u32 version = readLe32(image_.data() + 8);
-        if (version != kFormatVersion)
-            SASOS_FATAL("unsupported snapshot version ", version,
-                        " (this build reads version ", kFormatVersion,
-                        ")");
+        version_ = readLe32(image_.data() + 8);
+        if (version_ < kMinFormatVersion || version_ > kFormatVersion)
+            SASOS_FATAL("unsupported snapshot version ", version_,
+                        " (this build reads versions ", kMinFormatVersion,
+                        " to ", kFormatVersion, ")");
         if (readLe32(image_.data() + 12) != 0)
             SASOS_FATAL("corrupt snapshot: nonzero reserved header field");
         const u64 length = readLe64(image_.data() + 16);
@@ -250,6 +258,9 @@ class SnapReader
             SASOS_FATAL("corrupt snapshot: checksum mismatch");
         pos_ = kHeaderBytes;
     }
+
+    /** The image's format version (kMinFormatVersion..kFormatVersion). */
+    u32 version() const { return version_; }
 
     u8
     get8()
@@ -383,6 +394,7 @@ class SnapReader
 
     std::vector<u8> image_;
     std::size_t pos_ = kHeaderBytes;
+    u32 version_ = kFormatVersion;
 };
 
 } // namespace sasos::snap

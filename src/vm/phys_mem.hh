@@ -21,7 +21,7 @@ namespace sasos::vm
 {
 
 /**
- * A free-list allocator over a fixed pool of physical frames.
+ * A LIFO allocator over a fixed pool of physical frames.
  *
  * Frames are recycled (unlike virtual addresses) and reference
  * counted: allocate() hands out a frame with one reference, ref()
@@ -30,6 +30,15 @@ namespace sasos::vm
  * free() is the exclusive-owner form: it asserts the caller held the
  * only reference. Double-free and foreign-free are simulator bugs and
  * panic.
+ *
+ * The state is O(live), not O(capacity): a high-water mark (frames
+ * at or above it were never handed out), one refcount per frame
+ * below the mark (a frame is allocated iff its count is nonzero) and
+ * a stack of freed frames. allocate() pops the stack first and only
+ * then takes the mark, so frames come out lowest-first and freed
+ * frames are reused most-recent-first. Construction is O(1), and a
+ * snapshot costs what the machine has touched, not what it has
+ * installed.
  */
 class FrameAllocator
 {
@@ -55,23 +64,30 @@ class FrameAllocator
 
     bool isAllocated(Pfn pfn) const;
 
-    u64 capacity() const { return allocated_.size(); }
+    u64 capacity() const { return capacity_; }
     u64 inUse() const { return inUse_; }
-    u64 available() const { return capacity() - inUse_; }
+    u64 available() const { return capacity_ - inUse_; }
 
-    /** @name Snapshot hooks (free-list order decides future frame
-     * assignment, so it is serialized verbatim and cross-checked
-     * against the allocation bitmap on load; refcounts ride along
-     * for the allocated frames) */
+    /** Frames at or above this number have never been handed out. */
+    u64 highWaterMark() const { return refCounts_.size(); }
+
+    /** @name Snapshot hooks
+     * Format v4 writes capacity, mark, the refcounts below the mark
+     * and the freed stack; load() cross-checks them and also reads a
+     * v3 image's verbatim free list, converting it to this form. */
     /// @{
     void save(snap::SnapWriter &w) const;
     void load(snap::SnapReader &r);
     /// @}
 
   private:
-    std::vector<bool> allocated_;
+    void loadV3(snap::SnapReader &r);
+
+    u64 capacity_;
+    /** One count per frame below the high-water mark. */
     std::vector<u32> refCounts_;
-    std::vector<u64> freeList_;
+    /** Freed frames, reused from the back. */
+    std::vector<u64> freed_;
     u64 inUse_ = 0;
 };
 

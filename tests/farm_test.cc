@@ -9,8 +9,9 @@
  *
  * The farm integration tests fork real worker processes; workers exit
  * through _exit and never touch gtest state. The checked-in
- * farm_frame_*.bin files double as the farm_fuzz seed corpus;
- * SASOS_GOLDEN_REGEN=1 regenerates them.
+ * farm_frame_*.bin files (a frozen v3 set and the current v4 set)
+ * double as the farm_fuzz seed corpus; SASOS_GOLDEN_REGEN=1
+ * regenerates the v4 set.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <sys/wait.h>
@@ -625,9 +627,14 @@ TEST(FarmChaosTest, EveryCellKilledOnceStillBitIdentical)
     options.killSeed = 42;
     const farm::FarmResult farmed = farm::runFarm(campaign, options);
     expectIdentical(serial, farmed);
+    // The kill point rides in the order, so every doomed worker dies
+    // mid-cell (each cell ships 3 images; the seeded point is 0..2)
+    // and each death costs exactly one retry.
     EXPECT_EQ(farmed.stats.chaosKills, campaign.size());
-    EXPECT_GE(farmed.stats.retries, campaign.size());
-    EXPECT_GT(farmed.stats.forks, 3u) << "deaths must respawn workers";
+    EXPECT_EQ(farmed.stats.retries, farmed.stats.chaosKills);
+    EXPECT_EQ(farmed.stats.deaths, farmed.stats.chaosKills);
+    EXPECT_EQ(farmed.stats.forks, 3u + campaign.size())
+        << "every death must respawn a worker";
 }
 
 TEST(FarmChaosTest, KillsWithoutCheckpointsRestartFromScratch)
@@ -647,7 +654,40 @@ TEST(FarmChaosTest, KillsWithoutCheckpointsRestartFromScratch)
     const farm::FarmResult farmed = farm::runFarm(campaign, options);
     expectIdentical(serial, farmed);
     EXPECT_EQ(farmed.stats.chaosKills, campaign.size());
+    EXPECT_EQ(farmed.stats.retries, farmed.stats.chaosKills);
     EXPECT_EQ(farmed.stats.resumes, 0u);
+}
+
+TEST(FarmChaosTest, StatsArePureFunctionOfTheKillSeed)
+{
+    // Kills and migrations both ride in the orders, so two farms over
+    // the same campaign and options agree on every counter.
+    std::vector<farm::SweepCell> cells;
+    for (u64 seed = 1; seed <= 6; ++seed)
+        cells.push_back(makeCell(seed, 4000));
+    const farm::Campaign campaign(std::move(cells));
+
+    farm::FarmOptions options;
+    options.workers = 3;
+    options.checkpointEvery = 1000;
+    options.killRate = 0.5;
+    options.migrateRate = 0.5;
+    options.killSeed = 17;
+    const farm::FarmResult a = farm::runFarm(campaign, options);
+    const farm::FarmResult b = farm::runFarm(campaign, options);
+    ASSERT_TRUE(a.ok) << a.error;
+    ASSERT_TRUE(b.ok) << b.error;
+    const auto counters = [](const farm::FarmStats &s) {
+        return std::vector<u64>{s.forks,          s.deaths,
+                                s.chaosKills,     s.timeouts,
+                                s.retries,        s.checkpointImages,
+                                s.preempts,       s.migrations,
+                                s.resumes,        s.rejectedImages,
+                                s.poisonedFrames, s.duplicateResults};
+    };
+    EXPECT_EQ(counters(a.stats), counters(b.stats));
+    EXPECT_GT(a.stats.chaosKills, 0u);
+    EXPECT_EQ(a.stats.retries, a.stats.chaosKills);
 }
 
 TEST(FarmMigrateTest, PreemptMigrateResumeRoundTrip)
@@ -720,37 +760,117 @@ TEST(FarmTest, WarmStartCellsFarmIdentically)
 
 // ---------------------------------------------------------------------
 // The checked-in wire-frame corpus: golden decode check and the
-// farm_fuzz seed corpus in one. SASOS_GOLDEN_REGEN=1 regenerates.
+// farm_fuzz seed corpus in one. farm_frame_<kind>.bin are frozen v3
+// frames (this build reads but no longer writes v3);
+// farm_frame_v4_<kind>.bin are the current format, and
+// SASOS_GOLDEN_REGEN=1 regenerates them.
+
+namespace
+{
+
+struct FrameSample
+{
+    const char *name;
+    farm::MsgKind kind;
+};
+
+const std::vector<FrameSample> kFrameSamples = {
+    {"hello", farm::MsgKind::Hello},
+    {"assign", farm::MsgKind::Assign},
+    {"resume", farm::MsgKind::Resume},
+    {"preempt", farm::MsgKind::Preempt},
+    {"image", farm::MsgKind::Image},
+    {"done", farm::MsgKind::Done},
+    {"shutdown", farm::MsgKind::Shutdown},
+};
+
+/** The corpus cell: its Resume and Image frames carry a checkpoint
+ * taken after 1000 of its 2000 references. */
+farm::SweepCell
+corpusCell()
+{
+    return makeCell(1, 2000);
+}
+
+std::string
+corpusPath(const std::string &prefix, const char *name)
+{
+    return dataPath("farm_frame_" + prefix + name + ".bin");
+}
+
+/** Decode every frame of a corpus, check its envelope version, and
+ * resume the corpus cell from the checkpoints the Resume and Image
+ * frames carry: each must finish bit-identical to a live run. */
+void
+expectCorpusDecodes(const std::string &prefix, u32 version)
+{
+    std::map<farm::MsgKind, farm::Message> decoded;
+    for (const FrameSample &sample : kFrameSamples) {
+        const std::string path = corpusPath(prefix, sample.name);
+        ASSERT_TRUE(std::filesystem::exists(path))
+            << "missing " << path
+            << "; run with SASOS_GOLDEN_REGEN=1 to create it";
+        std::ifstream is(path, std::ios::binary);
+        const std::vector<u8> frame(
+            (std::istreambuf_iterator<char>(is)),
+            std::istreambuf_iterator<char>());
+        ASSERT_GE(frame.size(), snap::kHeaderBytes) << path;
+        EXPECT_EQ(frame[8], version) << path;
+        const farm::Message message = farm::decodeMessage(frame);
+        EXPECT_EQ(message.kind, sample.kind) << path;
+        decoded[message.kind] = message;
+    }
+
+    const farm::SweepCell cell = corpusCell();
+    farm::CellExecution live(cell, 1);
+    live.step(cell.references);
+    const std::string want = live.finish().statsDump;
+    for (const farm::MsgKind kind :
+         {farm::MsgKind::Resume, farm::MsgKind::Image}) {
+        const farm::Message &carrier = decoded.at(kind);
+        snap::Snapshot image;
+        image.bytes = carrier.image;
+        ASSERT_EQ(image.bytes.at(8), version);
+        farm::CellExecution exec(cell, 1, farm::CellExecution::kForRestore);
+        exec.resume(image, carrier.refsDone, carrier.completed,
+                    carrier.failed);
+        exec.step(cell.references);
+        EXPECT_EQ(exec.finish().statsDump, want)
+            << prefix << "corpus image of kind "
+            << static_cast<unsigned>(kind) << " resumed differently";
+    }
+}
+
+} // namespace
 
 TEST(FarmGoldenTest, FrameCorpusDecodes)
 {
-    struct Sample
+    expectCorpusDecodes("", 3);
+    // v3 orders predate the chaos exit point.
+    farm::Message assign;
     {
-        const char *name;
-        farm::MsgKind kind;
-    };
-    const std::vector<Sample> samples = {
-        {"farm_frame_hello.bin", farm::MsgKind::Hello},
-        {"farm_frame_assign.bin", farm::MsgKind::Assign},
-        {"farm_frame_resume.bin", farm::MsgKind::Resume},
-        {"farm_frame_preempt.bin", farm::MsgKind::Preempt},
-        {"farm_frame_image.bin", farm::MsgKind::Image},
-        {"farm_frame_done.bin", farm::MsgKind::Done},
-        {"farm_frame_shutdown.bin", farm::MsgKind::Shutdown},
-    };
+        std::ifstream is(corpusPath("", "assign"), std::ios::binary);
+        assign = farm::decodeMessage(std::vector<u8>(
+            (std::istreambuf_iterator<char>(is)),
+            std::istreambuf_iterator<char>()));
+    }
+    EXPECT_EQ(assign.killAfterImages, farm::kNeverKill);
+}
 
+TEST(FarmGoldenTest, V4FrameCorpusDecodes)
+{
     if (std::getenv("SASOS_GOLDEN_REGEN") != nullptr) {
         // Real frames, captured from a live execution: the Resume and
         // Image samples carry a genuine checkpoint image so fuzz
         // mutations explore the nested-envelope path.
-        const farm::SweepCell cell = makeCell(1, 2000);
+        const farm::SweepCell cell = corpusCell();
         farm::CellExecution exec(cell, 1);
         exec.step(1000);
         const std::vector<u8> snap = exec.checkpoint().bytes;
 
         auto write = [&](const char *name, const farm::Message &msg) {
             const std::vector<u8> frame = farm::encodeMessage(msg);
-            std::ofstream os(dataPath(name), std::ios::binary);
+            std::ofstream os(corpusPath("v4_", name), std::ios::binary);
             os.write(reinterpret_cast<const char *>(frame.data()),
                      static_cast<std::streamsize>(frame.size()));
         };
@@ -758,13 +878,14 @@ TEST(FarmGoldenTest, FrameCorpusDecodes)
         farm::Message hello;
         hello.kind = farm::MsgKind::Hello;
         hello.worker = 0;
-        write("farm_frame_hello.bin", hello);
+        write("hello", hello);
 
         farm::Message assign;
         assign.kind = farm::MsgKind::Assign;
         assign.cell = 0;
         assign.checkpointEvery = 1000;
-        write("farm_frame_assign.bin", assign);
+        assign.killAfterImages = 2;
+        write("assign", assign);
 
         farm::Message resume;
         resume.kind = farm::MsgKind::Resume;
@@ -774,12 +895,12 @@ TEST(FarmGoldenTest, FrameCorpusDecodes)
         resume.completed = exec.completed();
         resume.failed = exec.failed();
         resume.image = snap;
-        write("farm_frame_resume.bin", resume);
+        write("resume", resume);
 
         farm::Message preempt;
         preempt.kind = farm::MsgKind::Preempt;
         preempt.cell = 0;
-        write("farm_frame_preempt.bin", preempt);
+        write("preempt", preempt);
 
         farm::Message image;
         image.kind = farm::MsgKind::Image;
@@ -788,7 +909,7 @@ TEST(FarmGoldenTest, FrameCorpusDecodes)
         image.completed = exec.completed();
         image.failed = exec.failed();
         image.image = snap;
-        write("farm_frame_image.bin", image);
+        write("image", image);
 
         farm::Message done;
         done.kind = farm::MsgKind::Done;
@@ -796,27 +917,15 @@ TEST(FarmGoldenTest, FrameCorpusDecodes)
         farm::CellExecution rest(cell, 1);
         rest.step(cell.references);
         done.result = rest.finish();
-        write("farm_frame_done.bin", done);
+        write("done", done);
 
         farm::Message shutdown;
         shutdown.kind = farm::MsgKind::Shutdown;
-        write("farm_frame_shutdown.bin", shutdown);
+        write("shutdown", shutdown);
 
-        GTEST_SKIP() << "regenerated the farm frame corpus";
+        GTEST_SKIP() << "regenerated the v4 farm frame corpus";
     }
-
-    for (const Sample &sample : samples) {
-        const std::string path = dataPath(sample.name);
-        ASSERT_TRUE(std::filesystem::exists(path))
-            << "missing " << path
-            << "; run with SASOS_GOLDEN_REGEN=1 to create it";
-        std::ifstream is(path, std::ios::binary);
-        std::vector<u8> frame(
-            (std::istreambuf_iterator<char>(is)),
-            std::istreambuf_iterator<char>());
-        const farm::Message message = farm::decodeMessage(frame);
-        EXPECT_EQ(message.kind, sample.kind) << sample.name;
-    }
+    expectCorpusDecodes("v4_", 4);
 }
 
 // ---------------------------------------------------------------------

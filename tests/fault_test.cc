@@ -11,25 +11,18 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <sstream>
 
 #include "fault/fault.hh"
 #include "fault/oracle.hh"
 #include "farm/campaign.hh"
+#include "temp_dir.hh"
 #include "workload/address_stream.hh"
 
 using namespace sasos;
 
 namespace
 {
-
-std::string
-tempTracePath(const char *name)
-{
-    return (std::filesystem::temp_directory_path() / name).string();
-}
 
 /** Record the injector's full perturbation schedule for `ticks`. */
 std::string
@@ -224,7 +217,8 @@ TEST(FaultSystemTest, FaultySweepIsThreadCountIndependent)
  * all four models, clean and injected. */
 TEST(FaultOracleTest, CampaignPassesAtModerateRate)
 {
-    const std::string path = tempTracePath("fault_oracle_mid.trc");
+    const ScopedTempDir dir("fault");
+    const std::string path = dir.file("fault_oracle_mid.trc");
     const fault::CampaignResult result =
         fault::runCampaign(smallCampaign(0.02), path);
     for (const std::string &violation : result.violations)
@@ -237,7 +231,6 @@ TEST(FaultOracleTest, CampaignPassesAtModerateRate)
         if (run.injected)
             EXPECT_GT(run.injectedEvents, 0u) << run.model;
     }
-    std::remove(path.c_str());
 }
 
 /** Injected transient protection faults must be retried by the kernel
@@ -245,7 +238,8 @@ TEST(FaultOracleTest, CampaignPassesAtModerateRate)
  * observed is exactly that claim. */
 TEST(FaultOracleTest, TransientFaultsRetryToCleanOutcome)
 {
-    const std::string path = tempTracePath("fault_oracle_hot.trc");
+    const ScopedTempDir dir("fault");
+    const std::string path = dir.file("fault_oracle_hot.trc");
     fault::CampaignConfig config = smallCampaign(0.3);
     config.faults.transientGap = 16;
     const fault::CampaignResult result = fault::runCampaign(config, path);
@@ -266,14 +260,14 @@ TEST(FaultOracleTest, TransientFaultsRetryToCleanOutcome)
         EXPECT_EQ(run.decisions, clean->decisions) << run.model;
         EXPECT_EQ(run.rightsSnapshot, clean->rightsSnapshot) << run.model;
     }
-    std::remove(path.c_str());
 }
 
 /** Same campaign seed, same verdict and numbers, run to run. */
 TEST(FaultOracleTest, CampaignIsDeterministic)
 {
-    const std::string path_a = tempTracePath("fault_oracle_a.trc");
-    const std::string path_b = tempTracePath("fault_oracle_b.trc");
+    const ScopedTempDir dir("fault");
+    const std::string path_a = dir.file("fault_oracle_a.trc");
+    const std::string path_b = dir.file("fault_oracle_b.trc");
     fault::CampaignConfig config = smallCampaign(0.05);
     config.references = 2'000;
     const fault::CampaignResult first = fault::runCampaign(config, path_a);
@@ -290,8 +284,6 @@ TEST(FaultOracleTest, CampaignIsDeterministic)
         EXPECT_EQ(first.runs[i].injectedEvents,
                   second.runs[i].injectedEvents);
     }
-    std::remove(path_a.c_str());
-    std::remove(path_b.c_str());
 }
 
 TEST(FaultConfigTest, OptionsWireThrough)

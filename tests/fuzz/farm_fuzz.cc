@@ -46,6 +46,20 @@ const bool handler_installed = [] {
     return true;
 }();
 
+/** Seal payload bytes in a well-formed envelope stamped with
+ * `version` (the checksum covers only the payload). */
+std::vector<u8>
+sealPayload(const uint8_t *data, size_t size, u32 version)
+{
+    snap::SnapWriter writer;
+    for (size_t i = 0; i < size; ++i)
+        writer.put8(data[i]);
+    std::vector<u8> frame = writer.seal();
+    for (int i = 0; i < 4; ++i)
+        frame[8 + i] = static_cast<u8>(version >> (8 * i));
+    return frame;
+}
+
 void
 tryDecode(const std::vector<u8> &frame)
 {
@@ -75,11 +89,20 @@ LLVMFuzzerTestOneInput(const uint8_t *data, size_t size)
 
     // Surface 2: the bytes re-sealed as a valid envelope's payload,
     // so mutations reach the message decoder behind the checksum.
-    {
-        snap::SnapWriter writer;
-        writer.putString(std::string_view(
-            reinterpret_cast<const char *>(data), size));
-        tryDecode(writer.seal());
+    // Seeds from tests/data/ carry their own envelope: strip it and
+    // keep its version (a v3 seed then takes the v3 field layout).
+    if (size >= snap::kHeaderBytes &&
+        std::memcmp(data, snap::kMagic, sizeof(snap::kMagic)) == 0) {
+        u32 version = 0;
+        for (int i = 0; i < 4; ++i)
+            version |= static_cast<u32>(data[8 + i]) << (8 * i);
+        if (version < snap::kMinFormatVersion ||
+            version > snap::kFormatVersion)
+            version = snap::kFormatVersion;
+        tryDecode(sealPayload(data + snap::kHeaderBytes,
+                              size - snap::kHeaderBytes, version));
+    } else {
+        tryDecode(sealPayload(data, size, snap::kFormatVersion));
     }
 
     // Surface 3: incremental reassembly through the coordinator's

@@ -13,7 +13,7 @@
  * rerouted into an exception via setFatalHandler -- but must never
  * crash, hang, over-allocate or trip a sanitizer. Build with
  * -DSASOS_FUZZ=ON (needs Clang) and run with the checked-in golden
- * image as the seed corpus:
+ * images (v3 and v4) as the seed corpus:
  *
  *   ./snap_fuzz -max_total_time=30 corpus/ ../../tests/data/
  */
@@ -46,13 +46,14 @@ const bool handler_installed = [] {
     return true;
 }();
 
-/** Same shape as the golden image's machine (tests/snap_test.cc), so
- * seeds from tests/data/ restore cleanly and mutations explore the
- * deep paths rather than dying on the config cross-check. */
+/** Same shape as the golden images' machine (tests/snap_test.cc), so
+ * golden_v3.snap and golden_v4.snap restore cleanly and mutations
+ * explore the deep paths rather than dying on the config
+ * cross-check. */
 core::SystemConfig
 fuzzConfig()
 {
-    core::SystemConfig config = core::SystemConfig::plbSystem();
+    core::SystemConfig config = core::SystemConfig::pkeySystem();
     config.frames = 1024;
     config.cache.sizeBytes = 8 * 1024;
     config.l2Enabled = false;
@@ -76,15 +77,16 @@ tryRestore(const snap::Snapshot &image)
     }
 }
 
-/** Wrap the input bytes as the payload of a well-formed envelope. */
+/** Wrap the input bytes as the payload of a well-formed envelope
+ * stamped with `version` (every version the reader accepts has its
+ * own section decoders to explore). */
 snap::Snapshot
-sealPayload(const uint8_t *data, size_t size)
+sealPayload(const uint8_t *data, size_t size, u32 version)
 {
     snap::Snapshot image;
     image.bytes.resize(snap::kHeaderBytes + size);
     u8 *out = image.bytes.data();
     std::memcpy(out, snap::kMagic, sizeof(snap::kMagic));
-    const u32 version = snap::kFormatVersion;
     const u64 length = size;
     for (int i = 0; i < 4; ++i)
         out[8 + i] = static_cast<u8>(version >> (8 * i));
@@ -115,13 +117,20 @@ LLVMFuzzerTestOneInput(const uint8_t *data, size_t size)
 
     // Surface 2: the bytes as a sealed payload (section decoders).
     // Seeds from tests/data/ carry their own envelope, so strip it
-    // when present; mutated payloads then stay reachable.
+    // when present and keep its version (a v3 seed then reaches the
+    // v3 frame-list converter); mutated payloads stay reachable.
     if (size >= snap::kHeaderBytes &&
         std::memcmp(data, snap::kMagic, sizeof(snap::kMagic)) == 0) {
+        u32 version = 0;
+        for (int i = 0; i < 4; ++i)
+            version |= static_cast<u32>(data[8 + i]) << (8 * i);
+        if (version < snap::kMinFormatVersion ||
+            version > snap::kFormatVersion)
+            version = snap::kFormatVersion;
         tryRestore(sealPayload(data + snap::kHeaderBytes,
-                               size - snap::kHeaderBytes));
+                               size - snap::kHeaderBytes, version));
     } else {
-        tryRestore(sealPayload(data, size));
+        tryRestore(sealPayload(data, size, snap::kFormatVersion));
     }
     return 0;
 }

@@ -16,15 +16,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "core/mc/mc_system.hh"
 #include "scenario/runner.hh"
 #include "scenario/scenario.hh"
+#include "temp_dir.hh"
 #include "trace/trace.hh"
 
 using namespace sasos;
@@ -66,12 +65,11 @@ setupGolden(core::System &sys)
     return scenario;
 }
 
-/** Convert the checked-in text trace to a temporary binary trace. */
+/** Convert the checked-in text trace to a binary trace in `dir`. */
 std::string
-binaryGoldenTrace()
+binaryGoldenTrace(const ScopedTempDir &dir)
 {
-    const std::string out =
-        (std::filesystem::temp_directory_path() / "golden.trc").string();
+    const std::string out = dir.file("golden.trc");
     std::ifstream in(dataPath("golden.trace.txt"));
     EXPECT_TRUE(in.good()) << "missing " << dataPath("golden.trace.txt");
     trace::TraceWriter writer(out);
@@ -88,7 +86,8 @@ binaryGoldenTrace()
 
 TEST(GoldenReplayTest, MatchesCheckedInSnapshot)
 {
-    const std::string trace_path = binaryGoldenTrace();
+    const ScopedTempDir dir("golden");
+    const std::string trace_path = binaryGoldenTrace(dir);
 
     std::ostringstream actual;
     for (core::ModelKind kind :
@@ -106,7 +105,6 @@ TEST(GoldenReplayTest, MatchesCheckedInSnapshot)
         sys.dumpStats(actual);
         actual << "\n";
     }
-    std::remove(trace_path.c_str());
 
     const std::string expected_path = dataPath("golden_expected.txt");
     if (std::getenv("SASOS_GOLDEN_REGEN") != nullptr) {
@@ -132,7 +130,8 @@ TEST(GoldenReplayTest, MatchesCheckedInSnapshot)
  * tests/data/golden_stats.json. */
 TEST(GoldenReplayTest, StatsJsonMatchesCheckedInSnapshot)
 {
-    const std::string trace_path = binaryGoldenTrace();
+    const ScopedTempDir dir("golden");
+    const std::string trace_path = binaryGoldenTrace(dir);
 
     std::ostringstream actual;
     actual << "[\n";
@@ -150,7 +149,6 @@ TEST(GoldenReplayTest, StatsJsonMatchesCheckedInSnapshot)
         sys.dumpStatsJson(actual);
     }
     actual << "\n]\n";
-    std::remove(trace_path.c_str());
 
     const std::string expected_path = dataPath("golden_stats.json");
     if (std::getenv("SASOS_GOLDEN_REGEN") != nullptr) {

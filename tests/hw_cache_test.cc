@@ -10,6 +10,7 @@
 
 #include <list>
 #include <map>
+#include <type_traits>
 
 #include "hw/assoc_cache.hh"
 #include "hw/data_cache.hh"
@@ -220,11 +221,18 @@ TEST(AssocCacheTest, MatchesReferenceModelUnderRandomOps)
 // ---------------------------------------------------------------------
 // Data cache
 
+// gtest prints a parameter without a PrintTo() as its raw bytes, and
+// that text becomes part of each registered test name. The name is held
+// inline (not as a pointer) so the struct has no padding and no
+// address in it: its bytes, and so the test names, are the same on
+// every build and run.
 struct CacheOrgParam
 {
     CacheOrg org;
-    const char *name;
+    char name[12];
 };
+static_assert(sizeof(CacheOrgParam) == 16 &&
+              std::has_unique_object_representations_v<CacheOrgParam>);
 
 class DataCacheOrgTest : public ::testing::TestWithParam<CacheOrgParam>
 {

@@ -15,8 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -30,6 +28,7 @@
 #include "obs/perfetto.hh"
 #include "obs/tracer.hh"
 #include "sasos.hh"
+#include "temp_dir.hh"
 #include "farm/campaign.hh"
 #include "workload/address_stream.hh"
 
@@ -534,9 +533,8 @@ TEST(ObsPerfettoTest, EmittedJsonSatisfiesTraceEventSchema)
 TEST(ObsPerfettoTest, ScopedTraceWritesFileWhenEnabled)
 {
     TracingGuard guard;
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "obs_scoped.json")
-            .string();
+    const ScopedTempDir dir("obs");
+    const std::string path = dir.file("obs_scoped.json");
     Options options;
     options.set("trace", "1");
     options.set("trace_out", path);
@@ -554,7 +552,6 @@ TEST(ObsPerfettoTest, ScopedTraceWritesFileWhenEnabled)
     text << in.rdbuf();
     const JsonValue root = parseJson(text.str());
     EXPECT_GE(root.at("traceEvents").items.size(), 1u);
-    std::remove(path.c_str());
 }
 
 TEST(ObsPerfettoTest, InactiveScopedTraceIsInert)

@@ -14,9 +14,10 @@
  * mismatches -- all clean fatals, rerouted into exceptions here),
  * the protection-key model's kernel key tables (round trip and
  * rejection), stateful stream resume, warm-start sweep identity, the
- * restored counters vs. obs event-stream reconciliation, and a
- * checked-in image at the current format version guarding
- * compatibility (SASOS_GOLDEN_REGEN=1 regenerates it).
+ * restored counters vs. obs event-stream reconciliation, and
+ * checked-in v3 and v4 images guarding compatibility (both must
+ * restore to the state this build reaches live; SASOS_GOLDEN_REGEN=1
+ * regenerates the v4 one).
  */
 
 #include <gtest/gtest.h>
@@ -36,6 +37,7 @@
 #include "scenario/scenario.hh"
 #include "snap/snapshot.hh"
 #include "farm/campaign.hh"
+#include "temp_dir.hh"
 #include "workload/address_stream.hh"
 
 using namespace sasos;
@@ -423,16 +425,14 @@ TEST(SnapMcTest, FourCoreResumeThroughFileRoundTrip)
 
     snap::Snapshotter snapper;
     snapper.add(first);
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "snap_mc_test.snap")
-            .string();
+    const ScopedTempDir dir("snap");
+    const std::string path = dir.file("snap_mc_test.snap");
     snapper.finish().toFile(path);
 
     core::mc::McSystem resumed(config);
     snap::Restorer restorer(snap::Snapshot::fromFile(path));
     restorer.restore(resumed);
     restorer.finish();
-    std::filesystem::remove(path);
 
     const core::mc::McResult continued = resumed.run();
     EXPECT_TRUE(resumed.done());
@@ -641,6 +641,14 @@ TEST(SnapCorruptionTest, FutureVersionIsRejected)
     ScopedFatalThrow bridge;
     snap::Snapshot valid = smallImage();
     valid.bytes[8] = 0xFF; // version field, little-endian low byte
+    expectRejected(valid);
+}
+
+TEST(SnapCorruptionTest, PreV3VersionIsRejected)
+{
+    ScopedFatalThrow bridge;
+    snap::Snapshot valid = smallImage();
+    valid.bytes[8] = 2;
     expectRejected(valid);
 }
 
@@ -945,43 +953,57 @@ TEST(SnapOptionsTest, FromOptions)
 }
 
 // ---------------------------------------------------------------------
-// Format compatibility: the checked-in image at the current format
-// version must keep loading. (Older images are rejected by the
-// version check: v2 added frame refcounts and the CoW page set, v3
-// the protection-key model's kernel key tables.)
+// Format compatibility: checked-in images must keep loading. v4 reads
+// v3 images (only the frame allocator's section changed; its v3 free
+// list is converted on load); v2 and older are rejected by the
+// version check (v2 added frame refcounts and the CoW page set, v3
+// the protection-key model's kernel key tables).
 
-TEST(SnapGoldenTest, V3ImageStillRestores)
+namespace
 {
-    // The golden recipe: a protection-key machine (so the checked-in
-    // image exercises the v3 key tables) shrunk along its bulky axes
-    // (free-frame list, cache line maps) so the image stays a few
-    // tens of KB; 64-page heap, 2000 zipf references at seed 42,
-    // then System + Rng snapshotted.
-    const std::string path = dataPath("golden_v3.snap");
+
+/** The golden recipe: a protection-key machine (so the checked-in
+ * images exercise the key tables) shrunk along its bulky axes (frame
+ * pool, cache line maps) so the image stays small; 64-page heap,
+ * 2000 zipf references at seed 42, then System + Rng snapshotted. */
+core::SystemConfig
+goldenConfig()
+{
     core::SystemConfig config = core::SystemConfig::pkeySystem();
     config.frames = 1024;
     config.cache.sizeBytes = 8 * 1024;
     config.l2Enabled = false;
-    const u64 prefix = 2000;
+    return config;
+}
 
-    if (std::getenv("SASOS_GOLDEN_REGEN") != nullptr) {
-        core::System sys(config);
-        const vm::VAddr base = setupHeap(sys);
-        Rng rng(kSeed);
-        wl::ZipfPageStream stream(base, kPages, 0.8, kSeed);
-        sys.run(stream, prefix, rng);
-        snap::Snapshotter snapper;
-        snapper.add(sys);
-        snapper.add(rng);
-        snapper.finish().toFile(path);
-        GTEST_SKIP() << "regenerated " << path;
-    }
+constexpr u64 kGoldenPrefix = 2000;
 
+/** The golden machine's image, produced live by this build. */
+snap::Snapshot
+liveGoldenImage()
+{
+    core::System sys(goldenConfig());
+    const vm::VAddr base = setupHeap(sys);
+    Rng rng(kSeed);
+    wl::ZipfPageStream stream(base, kPages, 0.8, kSeed);
+    sys.run(stream, kGoldenPrefix, rng);
+    snap::Snapshotter snapper;
+    snapper.add(sys);
+    snapper.add(rng);
+    return snapper.finish();
+}
+
+/** Restore a checked-in golden image, check that it holds the state
+ * this build reaches live (re-checkpointing it must give the live
+ * image byte for byte) and that the machine keeps working. */
+void
+expectGoldenRestores(const std::string &path)
+{
     ASSERT_TRUE(std::filesystem::exists(path))
         << "missing " << path
         << "; run with SASOS_GOLDEN_REGEN=1 to create it";
 
-    core::System sys(config);
+    core::System sys(goldenConfig());
     const vm::VAddr base = setupHeap(sys);
     Rng rng(7);
     snap::Restorer restorer(snap::Snapshot::fromFile(path));
@@ -989,11 +1011,46 @@ TEST(SnapGoldenTest, V3ImageStillRestores)
     restorer.restore(rng);
     restorer.finish();
 
-    EXPECT_EQ(sys.references.value(), prefix);
+    EXPECT_EQ(sys.references.value(), kGoldenPrefix);
+    snap::Snapshotter again;
+    again.add(sys);
+    again.add(rng);
+    EXPECT_EQ(again.finish().bytes, liveGoldenImage().bytes)
+        << path << " does not restore to the live golden state";
 
-    // The restored machine must still be a working machine.
     wl::ZipfPageStream stream(base, kPages, 0.8, kSeed);
     const core::RunResult run = sys.run(stream, 1000, rng);
     EXPECT_EQ(run.completed + run.failed, 1000u);
-    EXPECT_EQ(sys.references.value(), prefix + 1000);
+    EXPECT_EQ(sys.references.value(), kGoldenPrefix + 1000);
+}
+
+} // namespace
+
+TEST(SnapGoldenTest, V3ImageStillRestores)
+{
+    // Frozen: this build writes v4, so the v3 image cannot be
+    // regenerated; it is the compatibility witness for the v3 reader.
+    const std::string path = dataPath("golden_v3.snap");
+    const snap::Snapshot image = snap::Snapshot::fromFile(path);
+    ASSERT_GE(image.bytes.size(), snap::kHeaderBytes);
+    EXPECT_EQ(image.bytes[8], 3u) << "golden_v3.snap must stay a v3 image";
+    expectGoldenRestores(path);
+}
+
+TEST(SnapGoldenTest, V4ImageStillRestores)
+{
+    const std::string path = dataPath("golden_v4.snap");
+    if (std::getenv("SASOS_GOLDEN_REGEN") != nullptr) {
+        liveGoldenImage().toFile(path);
+        GTEST_SKIP() << "regenerated " << path;
+    }
+    const snap::Snapshot image = snap::Snapshot::fromFile(path);
+    ASSERT_GE(image.bytes.size(), snap::kHeaderBytes);
+    EXPECT_EQ(image.bytes[8], 4u);
+    expectGoldenRestores(path);
+    // v4 stores the frame pool as O(live): the golden is smaller than
+    // its v3 twin, which carried one word per free frame.
+    EXPECT_LT(image.bytes.size(),
+              snap::Snapshot::fromFile(dataPath("golden_v3.snap"))
+                  .bytes.size());
 }

@@ -8,25 +8,16 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "temp_dir.hh"
 #include "trace/trace.hh"
 
 using namespace sasos;
 using namespace sasos::trace;
 
-namespace
-{
-
-std::string
-tempTracePath(const char *name)
-{
-    return (std::filesystem::temp_directory_path() / name).string();
-}
-
-} // namespace
-
 TEST(TraceTest, BinaryRoundTrip)
 {
-    const std::string path = tempTracePath("roundtrip.trc");
+    const ScopedTempDir dir("trace");
+    const std::string path = dir.file("roundtrip.trc");
     std::vector<TraceRecord> records = {
         {TraceOp::Load, 1, 0x1000},
         {TraceOp::Store, 2, 0xdeadbeef000},
@@ -47,12 +38,12 @@ TEST(TraceTest, BinaryRoundTrip)
         EXPECT_EQ(record, expected);
     }
     EXPECT_FALSE(reader.next(record));
-    std::remove(path.c_str());
 }
 
 TEST(TraceTest, HeaderCountPatchedOnClose)
 {
-    const std::string path = tempTracePath("count.trc");
+    const ScopedTempDir dir("trace");
+    const std::string path = dir.file("count.trc");
     {
         TraceWriter writer(path);
         writer.append(TraceOp::Load, 1, vm::VAddr(0x10));
@@ -60,7 +51,6 @@ TEST(TraceTest, HeaderCountPatchedOnClose)
     }
     TraceReader reader(path);
     EXPECT_EQ(reader.count(), 2u);
-    std::remove(path.c_str());
 }
 
 TEST(TraceTest, TextRoundTrip)
@@ -84,7 +74,8 @@ TEST(TraceTest, OpNames)
 
 TEST(TraceDeathTest, RejectsNonTraceFile)
 {
-    const std::string path = tempTracePath("nottrace.bin");
+    const ScopedTempDir dir("trace");
+    const std::string path = dir.file("nottrace.bin");
     {
         std::FILE *f = std::fopen(path.c_str(), "wb");
         std::fputs("this is not a trace at all, sorry!!", f);
@@ -92,12 +83,12 @@ TEST(TraceDeathTest, RejectsNonTraceFile)
     }
     EXPECT_EXIT(TraceReader reader(path),
                 ::testing::ExitedWithCode(1), "not a sasos trace");
-    std::remove(path.c_str());
 }
 
 TEST(TraceDeathTest, RejectsMissingHeader)
 {
-    const std::string path = tempTracePath("shortheader.trc");
+    const ScopedTempDir dir("trace");
+    const std::string path = dir.file("shortheader.trc");
     {
         std::FILE *f = std::fopen(path.c_str(), "wb");
         std::fwrite("SASTRC", 1, 6, f); // shorter than a header
@@ -105,12 +96,12 @@ TEST(TraceDeathTest, RejectsMissingHeader)
     }
     EXPECT_EXIT(TraceReader reader(path),
                 ::testing::ExitedWithCode(1), "has no header");
-    std::remove(path.c_str());
 }
 
 TEST(TraceDeathTest, RejectsTruncatedPayload)
 {
-    const std::string path = tempTracePath("truncated.trc");
+    const ScopedTempDir dir("trace");
+    const std::string path = dir.file("truncated.trc");
     {
         TraceWriter writer(path);
         for (u64 i = 0; i < 8; ++i)
@@ -121,12 +112,12 @@ TEST(TraceDeathTest, RejectsTruncatedPayload)
                                  std::filesystem::file_size(path) - 8);
     EXPECT_EXIT(TraceReader reader(path),
                 ::testing::ExitedWithCode(1), "truncated or corrupt");
-    std::remove(path.c_str());
 }
 
 TEST(TraceDeathTest, RejectsTrailingGarbage)
 {
-    const std::string path = tempTracePath("trailing.trc");
+    const ScopedTempDir dir("trace");
+    const std::string path = dir.file("trailing.trc");
     {
         TraceWriter writer(path);
         writer.append(TraceOp::Load, 1, vm::VAddr(0x1000));
@@ -138,12 +129,12 @@ TEST(TraceDeathTest, RejectsTrailingGarbage)
     }
     EXPECT_EXIT(TraceReader reader(path),
                 ::testing::ExitedWithCode(1), "truncated or corrupt");
-    std::remove(path.c_str());
 }
 
 TEST(TraceDeathTest, RejectsOverpromisedCount)
 {
-    const std::string path = tempTracePath("overcount.trc");
+    const ScopedTempDir dir("trace");
+    const std::string path = dir.file("overcount.trc");
     {
         TraceWriter writer(path);
         writer.append(TraceOp::Load, 1, vm::VAddr(0x1000));
@@ -158,12 +149,12 @@ TEST(TraceDeathTest, RejectsOverpromisedCount)
     }
     EXPECT_EXIT(TraceReader reader(path),
                 ::testing::ExitedWithCode(1), "truncated or corrupt");
-    std::remove(path.c_str());
 }
 
 TEST(TraceDeathTest, RejectsBadOpcode)
 {
-    const std::string path = tempTracePath("badop.trc");
+    const ScopedTempDir dir("trace");
+    const std::string path = dir.file("badop.trc");
     {
         TraceWriter writer(path);
         writer.append(TraceOp::Load, 1, vm::VAddr(0x1000));
@@ -185,12 +176,12 @@ TEST(TraceDeathTest, RejectsBadOpcode)
             }
         },
         ::testing::ExitedWithCode(1), "bad op");
-    std::remove(path.c_str());
 }
 
 TEST(TraceTest, ReplayObserverSeesEveryReference)
 {
-    const std::string path = tempTracePath("observer.trc");
+    const ScopedTempDir dir("trace");
+    const std::string path = dir.file("observer.trc");
     core::System sys(core::SystemConfig::plbSystem());
     auto &kernel = sys.kernel();
     const os::DomainId a = kernel.createDomain("a");
@@ -215,12 +206,12 @@ TEST(TraceTest, ReplayObserverSeesEveryReference)
     EXPECT_TRUE(decisions[0]);
     EXPECT_FALSE(decisions[1]);
     EXPECT_TRUE(decisions[2]);
-    std::remove(path.c_str());
 }
 
 TEST(TraceTest, ReplayDrivesTheSystem)
 {
-    const std::string path = tempTracePath("replay.trc");
+    const ScopedTempDir dir("trace");
+    const std::string path = dir.file("replay.trc");
 
     // Build a scenario on one system while recording it, then replay
     // the trace on a fresh system of a different model and check the
@@ -253,12 +244,12 @@ TEST(TraceTest, ReplayDrivesTheSystem)
     EXPECT_EQ(result.references, 9u);
     EXPECT_EQ(result.switches, 2u);
     EXPECT_EQ(result.failedReferences, 1u); // b's store
-    std::remove(path.c_str());
 }
 
 TEST(TraceTest, ReplayIsModelIndependentAtTheOsLevel)
 {
-    const std::string path = tempTracePath("replay2.trc");
+    const ScopedTempDir dir("trace");
+    const std::string path = dir.file("replay2.trc");
     {
         TraceWriter writer(path);
         Rng rng(77);
@@ -294,5 +285,4 @@ TEST(TraceTest, ReplayIsModelIndependentAtTheOsLevel)
     }
     // The set of canonically denied references is model-independent.
     EXPECT_EQ(failed[0], failed[1]);
-    std::remove(path.c_str());
 }

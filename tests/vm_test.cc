@@ -2,11 +2,20 @@
  * @file
  * Unit tests for the vm substrate: addresses, rights, segments, the
  * global page table (no-homonym/no-synonym invariants), protection
- * tables, frame allocation and the linear-page-table space model.
+ * tables, frame allocation (checked against a reference model of the
+ * original descending free-list allocator, through snapshot round
+ * trips, and against every corrupt `frames` section) and the
+ * linear-page-table space model.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
+#include "sim/random.hh"
+#include "snap/snapio.hh"
 #include "vm/address.hh"
 #include "vm/linear_page_table.hh"
 #include "vm/page_table.hh"
@@ -248,6 +257,274 @@ TEST(FrameAllocatorDeathTest, RefOfUnallocatedFramePanics)
     const Pfn f = *frames.allocate();
     frames.free(f);
     EXPECT_DEATH(frames.ref(f), "ref of unallocated frame");
+}
+
+namespace
+{
+
+/** The allocator as first written: a free list seeded with every
+ * frame in descending order, popped from the back, frees pushed on.
+ * FrameAllocator must hand out exactly the frames this does. */
+class ReferenceAllocator
+{
+  public:
+    explicit ReferenceAllocator(u64 capacity) : refs_(capacity, 0)
+    {
+        for (u64 i = capacity; i > 0; --i)
+            free_.push_back(i - 1);
+    }
+
+    std::optional<u64>
+    allocate()
+    {
+        if (free_.empty())
+            return std::nullopt;
+        const u64 frame = free_.back();
+        free_.pop_back();
+        refs_[frame] = 1;
+        return frame;
+    }
+
+    void ref(u64 frame) { ++refs_[frame]; }
+
+    void
+    unref(u64 frame)
+    {
+        if (--refs_[frame] == 0)
+            free_.push_back(frame);
+    }
+
+    u32 refCount(u64 frame) const { return refs_[frame]; }
+    u64 inUse() const { return refs_.size() - free_.size(); }
+
+  private:
+    std::vector<u32> refs_;
+    std::vector<u64> free_;
+};
+
+/** Round-trip an allocator through a sealed snapshot image. */
+FrameAllocator
+roundTrip(const FrameAllocator &frames, std::size_t *image_bytes = nullptr)
+{
+    snap::SnapWriter w;
+    frames.save(w);
+    if (image_bytes != nullptr)
+        *image_bytes = w.bytes();
+    snap::SnapReader r(w.seal());
+    FrameAllocator restored(frames.capacity());
+    restored.load(r);
+    r.finish();
+    return restored;
+}
+
+/** Seal a hand-built section, stamped with an older version when
+ * `version` says so (the checksum covers only the payload). */
+std::vector<u8>
+sealAs(const snap::SnapWriter &w, u32 version = snap::kFormatVersion)
+{
+    std::vector<u8> image = w.seal();
+    for (int i = 0; i < 4; ++i)
+        image[8 + i] = static_cast<u8>(version >> (8 * i));
+    return image;
+}
+
+/** A v4 `frames` section with every field under the caller's control. */
+std::vector<u8>
+v4Frames(u64 capacity, u64 mark, const std::vector<u32> &refs,
+         u64 freed_count, const std::vector<u64> &freed)
+{
+    snap::SnapWriter w;
+    w.putTag("frames");
+    w.put64(capacity);
+    w.put64(mark);
+    for (u32 count : refs)
+        w.put32(count);
+    w.put64(freed_count);
+    for (u64 frame : freed)
+        w.put64(frame);
+    return sealAs(w);
+}
+
+/** A v3 `frames` section: allocation bitmap, in-use count, verbatim
+ * free list, refcounts of the allocated frames. */
+std::vector<u8>
+v3Frames(u64 capacity, const std::vector<u32> &refs,
+         const std::vector<u64> &free_list)
+{
+    snap::SnapWriter w;
+    w.putTag("frames");
+    w.put64(capacity);
+    u64 in_use = 0;
+    for (u64 byte = 0; byte < (capacity + 7) / 8; ++byte) {
+        u8 bits = 0;
+        for (u64 bit = 0; bit < 8 && byte * 8 + bit < capacity; ++bit) {
+            if (refs[byte * 8 + bit] > 0) {
+                bits |= static_cast<u8>(1u << bit);
+                ++in_use;
+            }
+        }
+        w.put8(bits);
+    }
+    w.put64(in_use);
+    w.put64(free_list.size());
+    for (u64 frame : free_list)
+        w.put64(frame);
+    for (u32 count : refs) {
+        if (count > 0)
+            w.put32(count);
+    }
+    return sealAs(w, 3);
+}
+
+void
+loadInto(FrameAllocator &frames, std::vector<u8> image)
+{
+    snap::SnapReader r(std::move(image));
+    frames.load(r);
+    r.finish();
+}
+
+} // namespace
+
+TEST(FrameAllocatorTest, SoakMatchesReferenceThroughRandomRoundTrips)
+{
+    // A small pool keeps exhaustion frequent; random allocate/free/
+    // ref/unref, checked after every step, with a snapshot round trip
+    // at random cut points.
+    constexpr u64 kCapacity = 48;
+    Rng rng(2024);
+    FrameAllocator frames(kCapacity);
+    ReferenceAllocator reference(kCapacity);
+    std::vector<u64> live;
+    u64 exhaustions = 0;
+    u64 round_trips = 0;
+    for (int step = 0; step < 20000; ++step) {
+        const u64 op = rng.nextBelow(10);
+        if (op < 4 || live.empty()) {
+            const std::optional<Pfn> got = frames.allocate();
+            const std::optional<u64> want = reference.allocate();
+            ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+            if (got) {
+                ASSERT_EQ(got->number(), *want) << "step " << step;
+                live.push_back(*want);
+            } else {
+                ++exhaustions;
+            }
+        } else {
+            const std::size_t pick = rng.nextBelow(live.size());
+            const u64 frame = live[pick];
+            if (op < 6) {
+                frames.ref(Pfn(frame));
+                reference.ref(frame);
+            } else if (op < 7 && reference.refCount(frame) == 1) {
+                frames.free(Pfn(frame));
+                reference.unref(frame);
+            } else {
+                frames.unref(Pfn(frame));
+                reference.unref(frame);
+            }
+            if (reference.refCount(frame) == 0) {
+                live[pick] = live.back();
+                live.pop_back();
+            }
+        }
+        ASSERT_EQ(frames.inUse(), reference.inUse()) << "step " << step;
+        ASSERT_EQ(frames.available(), kCapacity - reference.inUse());
+        for (u64 frame = 0; frame < kCapacity; ++frame) {
+            ASSERT_EQ(frames.refCount(Pfn(frame)),
+                      reference.refCount(frame))
+                << "frame " << frame << " step " << step;
+            ASSERT_EQ(frames.isAllocated(Pfn(frame)),
+                      reference.refCount(frame) > 0);
+        }
+        if (rng.nextBelow(200) == 0) {
+            FrameAllocator restored = roundTrip(frames);
+            ASSERT_EQ(restored.highWaterMark(), frames.highWaterMark());
+            frames = std::move(restored);
+            ++round_trips;
+        }
+    }
+    EXPECT_GT(exhaustions, 100u) << "soak never ran the pool dry";
+    EXPECT_GT(round_trips, 50u);
+}
+
+TEST(FrameAllocatorTest, ImageScalesWithTheHighWaterMark)
+{
+    // A pool the size of the default machine, of which a handful of
+    // frames were ever touched: the section holds the mark's
+    // refcounts and the freed stack, not one word per installed frame.
+    FrameAllocator frames(u64{1} << 18);
+    std::vector<Pfn> held;
+    for (int i = 0; i < 10; ++i)
+        held.push_back(*frames.allocate());
+    frames.free(held[3]);
+    frames.free(held[7]);
+    std::size_t bytes = 0;
+    FrameAllocator restored = roundTrip(frames, &bytes);
+    EXPECT_EQ(frames.highWaterMark(), 10u);
+    EXPECT_LT(bytes, 200u);
+    EXPECT_EQ(restored.inUse(), 8u);
+    // Same frames, same order: the freed stack first, then the mark.
+    EXPECT_EQ(restored.allocate(), held[7]);
+    EXPECT_EQ(restored.allocate(), held[3]);
+    EXPECT_EQ(restored.allocate(), Pfn(10));
+}
+
+TEST(FrameAllocatorTest, V3FreeListConvertsToTheSameFutureFrames)
+{
+    // Frames 0 and 2 allocated, 1 freed: v3 wrote the never-used
+    // run [7 .. 3] followed by the freed frame.
+    const std::vector<u32> refs = {1, 0, 2, 0, 0, 0, 0, 0};
+    FrameAllocator frames(8);
+    loadInto(frames, v3Frames(8, refs, {7, 6, 5, 4, 3, 1}));
+    EXPECT_EQ(frames.inUse(), 2u);
+    EXPECT_EQ(frames.highWaterMark(), 3u);
+    EXPECT_EQ(frames.refCount(Pfn(2)), 2u);
+    for (u64 want : {1, 3, 4, 5, 6, 7})
+        EXPECT_EQ(frames.allocate(), Pfn(want));
+    EXPECT_FALSE(frames.allocate().has_value());
+
+    // A list with no never-used run at all: every frame is below the
+    // mark (= capacity) and the whole list is the freed stack.
+    FrameAllocator stacked(4);
+    loadInto(stacked, v3Frames(4, {1, 0, 1, 0}, {1, 3}));
+    EXPECT_EQ(stacked.highWaterMark(), 4u);
+    EXPECT_EQ(stacked.allocate(), Pfn(3));
+    EXPECT_EQ(stacked.allocate(), Pfn(1));
+    EXPECT_FALSE(stacked.allocate().has_value());
+}
+
+TEST(FrameAllocatorDeathTest, CorruptV4FramesAreRejected)
+{
+    FrameAllocator frames(8);
+    EXPECT_DEATH(loadInto(frames, v4Frames(8, 3, {1, 0, 1}, 1, {5})),
+                 "at or above the high-water mark");
+    EXPECT_DEATH(loadInto(frames, v4Frames(8, 4, {0, 0, 1, 1}, 2, {1, 1})),
+                 "on the freed stack twice");
+    EXPECT_DEATH(loadInto(frames, v4Frames(8, 3, {1, 0, 2}, 1, {2})),
+                 "still holds 2 references");
+    EXPECT_DEATH(loadInto(frames, v4Frames(8, 3, {0, 0, 1}, 1, {0})),
+                 "freed stack carries 1 frames, but 2");
+    EXPECT_DEATH(loadInto(frames, v4Frames(8, 9, {}, 0, {})),
+                 "high-water mark 9 beyond capacity 8");
+    EXPECT_DEATH(loadInto(frames, v4Frames(16, 0, {}, 0, {})),
+                 "16 physical frames, this configuration has 8");
+}
+
+TEST(FrameAllocatorDeathTest, NonCanonicalV3FreeListIsRejected)
+{
+    // After the descending run [7 .. 2] ends, frame 6 is not below
+    // the run: no allocator ever wrote this list.
+    FrameAllocator frames(8);
+    EXPECT_DEATH(loadInto(frames, v3Frames(8, {1, 0, 0, 0, 0, 0, 0, 0},
+                                           {7, 6, 5, 4, 3, 2, 6})),
+                 "not a descending run");
+    EXPECT_DEATH(loadInto(frames, v3Frames(8, {1, 0, 0, 0, 0, 0, 0, 0},
+                                           {7, 6, 5, 4, 3, 1, 1})),
+                 "on the free list twice");
+    EXPECT_DEATH(loadInto(frames, v3Frames(8, {1, 0, 0, 0, 0, 0, 0, 0},
+                                           {7, 6, 5, 4, 3, 2, 0})),
+                 "both allocated and free");
 }
 
 TEST(PageTableTest, MapLookupUnmap)
