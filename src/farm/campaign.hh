@@ -549,7 +549,8 @@ utcDate()
     const std::time_t now = std::time(nullptr);
     std::tm tm{};
     gmtime_r(&now, &tm);
-    char buf[16];
+    // Room for any int year, so the date is never truncated.
+    char buf[40];
     std::snprintf(buf, sizeof buf, "%04d-%02d-%02d", tm.tm_year + 1900,
                   tm.tm_mon + 1, tm.tm_mday);
     return buf;

@@ -134,6 +134,8 @@ class KeyCache
         KeyId key = 0;
 
         bool operator==(const Key &) const = default;
+        /** Tag-index hash (AssocCache mixes it with the set). */
+        u64 hash() const { return (u64{domain} << 16) | key; }
     };
 
     KeyCacheConfig config_;

@@ -261,6 +261,13 @@ class Plb
         int sizeShift = 0;
 
         bool operator==(const Key &) const = default;
+        /** Tag-index hash (AssocCache mixes it with the set). */
+        u64
+        hash() const
+        {
+            return (block << 6 | static_cast<u64>(sizeShift)) ^
+                   (u64{domain} << 48);
+        }
     };
 
     std::size_t setOf(u64 block) const;

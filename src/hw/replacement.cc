@@ -1,6 +1,7 @@
 #include "hw/replacement.hh"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -12,54 +13,112 @@ namespace sasos::hw
 namespace
 {
 
-/** Shared stamp-vector serialization for LRU and FIFO. */
-void
-saveStamps(snap::SnapWriter &w, const std::vector<u64> &stamps, u64 clock)
-{
-    w.putTag("stamps");
-    w.put64(stamps.size());
-    for (u64 stamp : stamps)
-        w.put64(stamp);
-    w.put64(clock);
-}
-
-void
-loadStamps(snap::SnapReader &r, std::vector<u64> &stamps, u64 &clock)
-{
-    r.expectTag("stamps");
-    const u64 count = r.getCount(8);
-    if (count != stamps.size())
-        SASOS_FATAL("corrupt snapshot: replacement state carries ",
-                    count, " stamps, this geometry has ", stamps.size());
-    for (auto &stamp : stamps)
-        stamp = r.get64();
-    clock = r.get64();
-}
-
-/** True LRU via per-way timestamps. */
-class LruPolicy : public ReplacementPolicy
+/**
+ * The ways of every set in ascending (stamp, way) order: one circular
+ * doubly linked list per set, threaded through flat arrays. Node
+ * `ways` of each set is the list's sentinel, so the head (the way with
+ * the smallest stamp, lowest index first on a tie) is next[sentinel].
+ */
+class RecencyOrder
 {
   public:
-    LruPolicy(std::size_t sets, std::size_t ways)
-        : ways_(ways), stamps_(sets * ways, 0)
+    RecencyOrder(std::size_t sets, std::size_t ways)
+        : ways_(ways), next_(sets * (ways + 1)), prev_(sets * (ways + 1))
     {
+        SASOS_ASSERT(ways < std::numeric_limits<u32>::max(),
+                     "too many ways for a recency list");
+        reset();
     }
 
+    /** Every set back to way order (all stamps equal). */
     void
-    touch(std::size_t set, std::size_t way) override
+    reset()
     {
-        stamps_[set * ways_ + way] = ++clock_;
+        for (std::size_t base = 0; base < next_.size(); base += ways_ + 1) {
+            for (std::size_t node = 1; node <= ways_; ++node) {
+                next_[base + node - 1] = static_cast<u32>(node);
+                prev_[base + node] = static_cast<u32>(node - 1);
+            }
+            next_[base + ways_] = 0;
+            prev_[base] = static_cast<u32>(ways_);
+        }
     }
 
-    void
-    fill(std::size_t set, std::size_t way) override
+    std::size_t
+    front(std::size_t set) const
     {
-        touch(set, way);
+        return next_[set * (ways_ + 1) + ways_];
+    }
+
+    /** `way` just took the largest stamp of the structure. */
+    void
+    moveToBack(std::size_t set, std::size_t way)
+    {
+        const std::size_t base = set * (ways_ + 1);
+        if (prev_[base + ways_] == way)
+            return;
+        next_[base + prev_[base + way]] = next_[base + way];
+        prev_[base + next_[base + way]] = prev_[base + way];
+        append(base, way);
+    }
+
+    /** Relink every set from its stamps (after a snapshot load). */
+    void
+    rebuild(const std::vector<u64> &stamps)
+    {
+        std::vector<u32> order(ways_);
+        for (std::size_t set = 0; set * ways_ < stamps.size(); ++set) {
+            const u64 *stamp = &stamps[set * ways_];
+            for (std::size_t way = 0; way < ways_; ++way)
+                order[way] = static_cast<u32>(way);
+            std::stable_sort(order.begin(), order.end(),
+                             [stamp](u32 a, u32 b) {
+                                 return stamp[a] < stamp[b];
+                             });
+            const std::size_t base = set * (ways_ + 1);
+            next_[base + ways_] = prev_[base + ways_] =
+                static_cast<u32>(ways_);
+            for (u32 way : order)
+                append(base, way);
+        }
+    }
+
+  private:
+    void
+    append(std::size_t base, std::size_t way)
+    {
+        const u32 tail = prev_[base + ways_];
+        next_[base + tail] = static_cast<u32>(way);
+        prev_[base + way] = tail;
+        next_[base + way] = static_cast<u32>(ways_);
+        prev_[base + ways_] = static_cast<u32>(way);
+    }
+
+    std::size_t ways_;
+    std::vector<u32> next_;
+    std::vector<u32> prev_;
+};
+
+/**
+ * Shared machinery of LRU and FIFO: a per-way stamp from a global
+ * clock, and the victim is the first way with the smallest stamp.
+ * The stamps are the serialized state. Above kScanWays the victim
+ * comes from a RecencyOrder kept beside them instead of a scan.
+ */
+class StampPolicy : public ReplacementPolicy
+{
+  public:
+    StampPolicy(std::size_t sets, std::size_t ways)
+        : ways_(ways), stamps_(sets * ways, 0),
+          order_(ways > kScanWays ? sets : 0, ways)
+    {
     }
 
     std::size_t
     victim(std::size_t set) override
     {
+        if (ways_ > kScanWays)
+            return order_.front(set);
         const u64 *base = &stamps_[set * ways_];
         return static_cast<std::size_t>(
             std::min_element(base, base + ways_) - base);
@@ -70,71 +129,80 @@ class LruPolicy : public ReplacementPolicy
     {
         std::fill(stamps_.begin(), stamps_.end(), 0);
         clock_ = 0;
+        order_.reset();
     }
 
-    void save(snap::SnapWriter &w) const override
+    void
+    save(snap::SnapWriter &w) const override
     {
-        saveStamps(w, stamps_, clock_);
+        w.putTag("stamps");
+        w.put64(stamps_.size());
+        for (u64 stamp : stamps_)
+            w.put64(stamp);
+        w.put64(clock_);
     }
 
-    void load(snap::SnapReader &r) override
+    /**
+     * A stamp ahead of the clock is rejected: the next stamp handed
+     * out would not be the largest, so the recency order would no
+     * longer match the smallest-stamp rule.
+     */
+    void
+    load(snap::SnapReader &r) override
     {
-        loadStamps(r, stamps_, clock_);
+        r.expectTag("stamps");
+        const u64 count = r.getCount(8);
+        if (count != stamps_.size())
+            SASOS_FATAL("corrupt snapshot: replacement state carries ",
+                        count, " stamps, this geometry has ",
+                        stamps_.size());
+        for (auto &stamp : stamps_)
+            stamp = r.get64();
+        clock_ = r.get64();
+        for (u64 stamp : stamps_) {
+            if (stamp > clock_)
+                SASOS_FATAL("corrupt snapshot: replacement stamp ", stamp,
+                            " is ahead of its clock ", clock_);
+        }
+        if (ways_ > kScanWays)
+            order_.rebuild(stamps_);
+    }
+
+  protected:
+    void
+    stamp(std::size_t set, std::size_t way)
+    {
+        stamps_[set * ways_ + way] = ++clock_;
+        if (ways_ > kScanWays)
+            order_.moveToBack(set, way);
     }
 
   private:
     std::size_t ways_;
     std::vector<u64> stamps_;
     u64 clock_ = 0;
+    RecencyOrder order_;
+};
+
+/** True LRU: hits and fills both refresh the stamp. */
+class LruPolicy : public StampPolicy
+{
+  public:
+    using StampPolicy::StampPolicy;
+
+    void touch(std::size_t set, std::size_t way) override { stamp(set, way); }
+    void fill(std::size_t set, std::size_t way) override { stamp(set, way); }
 };
 
 /** FIFO: evict the oldest fill; hits do not refresh. */
-class FifoPolicy : public ReplacementPolicy
+class FifoPolicy : public StampPolicy
 {
   public:
-    FifoPolicy(std::size_t sets, std::size_t ways)
-        : ways_(ways), stamps_(sets * ways, 0)
-    {
-    }
+    using StampPolicy::StampPolicy;
 
     void touch(std::size_t, std::size_t) override {}
     bool needsTouch() const override { return false; }
-
-    void
-    fill(std::size_t set, std::size_t way) override
-    {
-        stamps_[set * ways_ + way] = ++clock_;
-    }
-
-    std::size_t
-    victim(std::size_t set) override
-    {
-        const u64 *base = &stamps_[set * ways_];
-        return static_cast<std::size_t>(
-            std::min_element(base, base + ways_) - base);
-    }
-
-    void
-    reset() override
-    {
-        std::fill(stamps_.begin(), stamps_.end(), 0);
-        clock_ = 0;
-    }
-
-    void save(snap::SnapWriter &w) const override
-    {
-        saveStamps(w, stamps_, clock_);
-    }
-
-    void load(snap::SnapReader &r) override
-    {
-        loadStamps(r, stamps_, clock_);
-    }
-
-  private:
-    std::size_t ways_;
-    std::vector<u64> stamps_;
-    u64 clock_ = 0;
+    void fill(std::size_t set, std::size_t way) override { stamp(set, way); }
 };
 
 /** Uniformly random victim (deterministic via seeded Rng). */

@@ -5,7 +5,8 @@
  * One policy object serves a whole structure; state is kept per
  * (set, way). The structure asks for a victim only when every way in
  * the set is valid -- invalid ways are always filled first by the
- * caller.
+ * caller, lowest way first. LRU and FIFO evict the first way with the
+ * smallest stamp; Random and tree PLRU keep their own state.
  */
 
 #ifndef SASOS_HW_REPLACEMENT_HH
@@ -25,6 +26,14 @@ class SnapReader;
 
 namespace sasos::hw
 {
+
+/**
+ * Associativity up to which a set is searched way by way. Wider
+ * structures (the 128-way TLB and PLB, the 512-way translation TLB)
+ * find a tag through AssocCache's tag index and an LRU/FIFO victim
+ * through a per-set recency list, both O(1); the victims are the same.
+ */
+inline constexpr std::size_t kScanWays = 16;
 
 /** Selectable replacement policies. */
 enum class PolicyKind

@@ -197,6 +197,8 @@ class Tlb
         DomainId asid = 0;
 
         bool operator==(const Key &) const = default;
+        /** Tag-index hash (AssocCache mixes it with the set). */
+        u64 hash() const { return (vpn << 16) ^ (vpn >> 48) ^ asid; }
     };
 
     std::size_t setOf(vm::Vpn vpn) const;

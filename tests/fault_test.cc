@@ -100,8 +100,9 @@ TEST(FaultInjectorTest, TransientsRespectTheGap)
     for (std::size_t i = 0; i < sched.size(); ++i) {
         if (sched[i] != 'X')
             continue;
-        if (last != std::string::npos)
+        if (last != std::string::npos) {
             EXPECT_GE(i - last, config.transientGap) << "at tick " << i;
+        }
         last = i;
     }
     EXPECT_GT(injector.transients.value(), 0u);
@@ -228,8 +229,9 @@ TEST(FaultOracleTest, CampaignPassesAtModerateRate)
     for (const fault::RunOutcome &run : result.runs) {
         EXPECT_EQ(run.decisions.size(), result.references);
         EXPECT_TRUE(run.hwWithinCanonical) << run.model;
-        if (run.injected)
+        if (run.injected) {
             EXPECT_GT(run.injectedEvents, 0u) << run.model;
+        }
     }
 }
 

@@ -2,21 +2,26 @@
  * @file
  * Tests for replacement policies, the generic associative store and
  * the data cache model, including a randomized equivalence check of
- * the associative store against a reference model and parameterized
- * sweeps over cache organizations.
+ * the associative store against a reference model, a differential
+ * soak of its tag index and recency lists against a linear-scan
+ * model, and parameterized sweeps over cache organizations.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
 #include <map>
+#include <memory>
 #include <type_traits>
+#include <utility>
 
 #include "hw/assoc_cache.hh"
 #include "hw/data_cache.hh"
 #include "hw/replacement.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
+#include "snap/snapio.hh"
 
 using namespace sasos;
 using namespace sasos::hw;
@@ -216,6 +221,407 @@ TEST(AssocCacheTest, MatchesReferenceModelUnderRandomOps)
         }
         ASSERT_EQ(cache.occupancy(), ref.size());
     }
+}
+
+// ---------------------------------------------------------------------
+// Differential soak: the indexed store against a linear-scan model
+
+namespace
+{
+
+/** A struct tag whose hash folds onto four values, so the tag index
+ * runs long collision chains through insert and backward-shift
+ * deletion. */
+struct CollidingTag
+{
+    u64 value = 0;
+
+    bool operator==(const CollidingTag &) const = default;
+    u64 hash() const { return value & 3; }
+};
+
+u64 tagValue(u64 tag) { return tag; }
+u64 tagValue(const CollidingTag &tag) { return tag.value; }
+
+template <typename Tag> Tag makeTag(u64 value);
+template <> u64 makeTag<u64>(u64 value) { return value; }
+template <> CollidingTag makeTag<CollidingTag>(u64 value)
+{
+    return CollidingTag{value};
+}
+
+/**
+ * What AssocCache computed before it had a tag index: every probe a
+ * scan of the set, invalid ways filled lowest first, LRU/FIFO victims
+ * the first minimum stamp. Random and tree PLRU come from the shared
+ * policy classes. image() is the snapshot AssocCache::save writes.
+ */
+template <typename Tag>
+struct ScanModel
+{
+    ScanModel(std::size_t sets_, std::size_t ways_, PolicyKind kind,
+              u64 seed)
+        : sets(sets_), ways(ways_), valid(sets_ * ways_, 0),
+          tags(sets_ * ways_), payloads(sets_ * ways_, 0),
+          stamps(sets_ * ways_, 0)
+    {
+        const bool plru_falls_back =
+            kind == PolicyKind::TreePlru &&
+            (ways == 1 || (ways & (ways - 1)) != 0);
+        stampBased = kind == PolicyKind::Lru ||
+                     kind == PolicyKind::Fifo || plru_falls_back;
+        touchStamps = kind != PolicyKind::Fifo;
+        if (!stampBased)
+            policy = makePolicy(kind, sets, ways, seed);
+    }
+
+    std::size_t
+    find(std::size_t set, const Tag &tag) const
+    {
+        for (std::size_t way = 0; way < ways; ++way) {
+            if (valid[set * ways + way] && tags[set * ways + way] == tag)
+                return set * ways + way;
+        }
+        return kNone;
+    }
+
+    void
+    touch(std::size_t slot)
+    {
+        if (!stampBased)
+            policy->touch(slot / ways, slot % ways);
+        else if (touchStamps)
+            stamps[slot] = ++clock;
+    }
+
+    void
+    fill(std::size_t slot)
+    {
+        if (stampBased)
+            stamps[slot] = ++clock;
+        else
+            policy->fill(slot / ways, slot % ways);
+    }
+
+    std::size_t
+    victim(std::size_t set)
+    {
+        if (!stampBased)
+            return set * ways + policy->victim(set);
+        const u64 *base = &stamps[set * ways];
+        return set * ways +
+               static_cast<std::size_t>(
+                   std::min_element(base, base + ways) - base);
+    }
+
+    std::optional<std::pair<Tag, u64>>
+    insert(std::size_t set, const Tag &tag, u64 payload)
+    {
+        for (std::size_t way = 0; way < ways; ++way) {
+            const std::size_t slot = set * ways + way;
+            if (!valid[slot]) {
+                valid[slot] = 1;
+                ++live;
+                tags[slot] = tag;
+                payloads[slot] = payload;
+                fill(slot);
+                return std::nullopt;
+            }
+        }
+        const std::size_t slot = victim(set);
+        std::pair<Tag, u64> evicted{tags[slot], payloads[slot]};
+        tags[slot] = tag;
+        payloads[slot] = payload;
+        fill(slot);
+        return evicted;
+    }
+
+    void
+    erase(std::size_t slot)
+    {
+        valid[slot] = 0;
+        --live;
+    }
+
+    void
+    reset()
+    {
+        std::fill(valid.begin(), valid.end(), 0);
+        live = 0;
+        if (stampBased) {
+            std::fill(stamps.begin(), stamps.end(), 0);
+            clock = 0;
+        } else {
+            policy->reset();
+        }
+    }
+
+    std::vector<u8>
+    image() const
+    {
+        snap::SnapWriter w;
+        w.putTag("assoc");
+        w.put64(sets);
+        w.put64(ways);
+        for (std::size_t i = 0; i < valid.size(); ++i) {
+            w.putBool(valid[i] != 0);
+            if (valid[i]) {
+                w.put64(tagValue(tags[i]));
+                w.put64(payloads[i]);
+            }
+        }
+        if (stampBased) {
+            w.putTag("stamps");
+            w.put64(stamps.size());
+            for (u64 stamp : stamps)
+                w.put64(stamp);
+            w.put64(clock);
+        } else {
+            policy->save(w);
+        }
+        return w.seal();
+    }
+
+    static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+    std::size_t sets;
+    std::size_t ways;
+    std::vector<u8> valid;
+    std::vector<Tag> tags;
+    std::vector<u64> payloads;
+    std::vector<u64> stamps;
+    u64 clock = 0;
+    std::size_t live = 0;
+    bool stampBased = true;
+    bool touchStamps = true;
+    std::unique_ptr<ReplacementPolicy> policy;
+};
+
+template <typename Tag>
+std::vector<u8>
+cacheImage(const AssocCache<Tag, u64> &cache)
+{
+    snap::SnapWriter w;
+    cache.save(
+        w, [](snap::SnapWriter &out, const Tag &tag) {
+            out.put64(tagValue(tag));
+        },
+        [](snap::SnapWriter &out, u64 payload) { out.put64(payload); });
+    return w.seal();
+}
+
+template <typename Tag>
+void
+loadImage(AssocCache<Tag, u64> &cache, const std::vector<u8> &image)
+{
+    snap::SnapReader r(image);
+    cache.load(
+        r, [](snap::SnapReader &in) { return makeTag<Tag>(in.get64()); },
+        [](snap::SnapReader &in) { return in.get64(); });
+    r.finish();
+}
+
+/**
+ * Random lookup/probe/touch/insert/invalidate/purge traffic with
+ * save->load round trips, checked op by op against ScanModel: same
+ * hits and payloads, same victims, same PurgeResult (a purge still
+ * scans, and is charged, the whole capacity), same snapshot bytes.
+ */
+template <typename Tag>
+void
+soak(std::size_t sets, std::size_t ways, PolicyKind kind, u64 seed)
+{
+    SCOPED_TRACE(::testing::Message()
+                 << sets << "x" << ways << " " << toString(kind));
+    auto cache = std::make_unique<AssocCache<Tag, u64>>(sets, ways, kind,
+                                                        seed);
+    ScanModel<Tag> model(sets, ways, kind, seed);
+    Rng rng(seed * 7919 + ways);
+    // Half again as many tags as ways, and rare removals: sets stay
+    // full, so most inserts of a new tag evict.
+    const u64 tag_space = ways + ways / 2 + 3;
+    const int ops = static_cast<int>(20000 + 40 * sets * ways);
+    int round_trips = 0;
+    int evictions = 0;
+
+    for (int op = 0; op < ops; ++op) {
+        const std::size_t set =
+            static_cast<std::size_t>(rng.nextBelow(sets));
+        const Tag tag = makeTag<Tag>(rng.nextBelow(tag_space));
+        const std::size_t slot = model.find(set, tag);
+        const u64 roll = rng.nextBelow(100000);
+        if (roll < 40000) { // lookup, sometimes replaying the touch
+            AssocLoc loc;
+            const u64 *got = cache->lookup(set, tag, &loc);
+            ASSERT_EQ(got != nullptr, slot != model.kNone) << "op " << op;
+            if (got == nullptr)
+                continue;
+            ASSERT_EQ(*got, model.payloads[slot]) << "op " << op;
+            ASSERT_EQ(loc.set * ways + loc.way, slot) << "op " << op;
+            model.touch(slot);
+            if (rng.nextBelow(4) == 0) {
+                cache->touch(loc);
+                model.touch(slot);
+            }
+        } else if (roll < 50000) { // probe: no replacement update
+            const u64 *got = std::as_const(*cache).probe(set, tag);
+            ASSERT_EQ(got != nullptr, slot != model.kNone) << "op " << op;
+            if (got != nullptr) {
+                ASSERT_EQ(*got, model.payloads[slot]) << "op " << op;
+            }
+        } else if (roll < 95000) { // insert a tag the set does not hold
+            if (slot != model.kNone)
+                continue;
+            const u64 payload = rng.next();
+            const auto victim = cache->insert(set, tag, payload);
+            const auto expected = model.insert(set, tag, payload);
+            ASSERT_EQ(victim.has_value(), expected.has_value())
+                << "op " << op;
+            if (victim) {
+                ++evictions;
+                ASSERT_EQ(victim->tag, expected->first) << "op " << op;
+                ASSERT_EQ(victim->payload, expected->second)
+                    << "op " << op;
+            }
+        } else if (roll < 99000) { // invalidate one tag
+            ASSERT_EQ(cache->invalidate(set, tag), slot != model.kNone)
+                << "op " << op;
+            if (slot != model.kNone)
+                model.erase(slot);
+        } else if (roll < 99050) { // purge scan of one tag per set
+            const u64 pick = rng.nextBelow(tag_space);
+            const auto pred = [pick](const Tag &t, const u64 &) {
+                return tagValue(t) == pick;
+            };
+            const PurgeResult result = cache->invalidateIf(pred);
+            u64 expected = 0;
+            for (std::size_t i = 0; i < model.valid.size(); ++i) {
+                if (model.valid[i] && pred(model.tags[i], 0)) {
+                    model.erase(i);
+                    ++expected;
+                }
+            }
+            ASSERT_EQ(result.scanned, sets * ways) << "op " << op;
+            ASSERT_EQ(result.invalidated, expected) << "op " << op;
+        } else if (roll < 99550) { // injected eviction of the n-th entry
+            std::size_t n = static_cast<std::size_t>(
+                rng.nextBelow(model.live + 2));
+            const auto dropped = cache->invalidateNth(n);
+            std::size_t i = 0;
+            for (; i < model.valid.size(); ++i) {
+                if (model.valid[i] && n-- == 0)
+                    break;
+            }
+            ASSERT_EQ(dropped.has_value(), i < model.valid.size())
+                << "op " << op;
+            if (dropped) {
+                ASSERT_EQ(dropped->tag, model.tags[i]) << "op " << op;
+                ASSERT_EQ(dropped->payload, model.payloads[i])
+                    << "op " << op;
+                model.erase(i);
+            }
+        } else if (roll < 99555) { // flash invalidate
+            ASSERT_EQ(cache->invalidateAll(), model.live)
+                << "op " << op;
+            model.reset();
+        } else { // snapshot round trip
+            const std::vector<u8> image = cacheImage(*cache);
+            ASSERT_EQ(image, model.image()) << "op " << op;
+            cache = std::make_unique<AssocCache<Tag, u64>>(sets, ways,
+                                                           kind, seed);
+            loadImage(*cache, image);
+            ++round_trips;
+        }
+        ASSERT_EQ(cache->occupancy(), model.live) << "op " << op;
+    }
+    EXPECT_EQ(cacheImage(*cache), model.image());
+    EXPECT_GT(round_trips, 0);
+    EXPECT_GT(evictions, ops / 30);
+}
+
+struct SoakGeometry
+{
+    std::size_t sets;
+    std::size_t ways;
+};
+
+constexpr SoakGeometry kSoakGeometries[] = {
+    {1, 4}, {1, 16}, {1, 128}, {1, 512}, {64, 32}, {2048, 1}, {256, 4},
+};
+constexpr PolicyKind kSoakPolicies[] = {
+    PolicyKind::Lru, PolicyKind::Fifo, PolicyKind::Random,
+    PolicyKind::TreePlru,
+};
+
+/** A full 1xways LRU model, every way touched in a shuffled order. */
+ScanModel<u64>
+filledModel(std::size_t ways)
+{
+    ScanModel<u64> model(1, ways, PolicyKind::Lru, 1);
+    for (u64 tag = 0; tag < ways; ++tag)
+        model.insert(0, tag, tag * 10);
+    Rng rng(5);
+    for (int i = 0; i < 1000; ++i)
+        model.touch(static_cast<std::size_t>(rng.nextBelow(ways)));
+    return model;
+}
+
+} // namespace
+
+TEST(AssocCacheSoakTest, IntegerTagsMatchScanModel)
+{
+    u64 seed = 1;
+    for (const SoakGeometry &g : kSoakGeometries) {
+        for (PolicyKind kind : kSoakPolicies)
+            soak<u64>(g.sets, g.ways, kind, seed++);
+    }
+}
+
+TEST(AssocCacheSoakTest, CollidingHashesMatchScanModel)
+{
+    u64 seed = 100;
+    for (const SoakGeometry &g : kSoakGeometries) {
+        for (PolicyKind kind : kSoakPolicies)
+            soak<CollidingTag>(g.sets, g.ways, kind, seed++);
+    }
+}
+
+TEST(AssocCacheTest, LoadRebuildsRecencyOrderFromStamps)
+{
+    // Equal stamps tie-break by way: after the load, the victims must
+    // come out in (stamp, way) order, as the scan's first minimum.
+    ScanModel<u64> model = filledModel(128);
+    for (std::size_t way = 40; way < 60; ++way)
+        model.stamps[way] = 7;
+    AssocCache<u64, u64> cache(1, 128, PolicyKind::Lru);
+    loadImage(cache, model.image());
+    for (u64 tag = 1000; tag < 1200; ++tag) {
+        const auto victim = cache.insert(0, tag, tag);
+        const auto expected = model.insert(0, tag, tag);
+        ASSERT_TRUE(victim.has_value() && expected.has_value());
+        ASSERT_EQ(victim->tag, expected->first) << "tag " << tag;
+    }
+}
+
+TEST(AssocCacheDeathTest, LoadRejectsStampAheadOfClock)
+{
+    ScanModel<u64> model = filledModel(128);
+    model.stamps[17] = model.clock + 1;
+    const std::vector<u8> image = model.image();
+    AssocCache<u64, u64> cache(1, 128, PolicyKind::Lru);
+    EXPECT_DEATH(loadImage(cache, image),
+                 "corrupt snapshot: replacement stamp .* ahead of its "
+                 "clock");
+}
+
+TEST(AssocCacheDeathTest, LoadRejectsDuplicateTagInWideSet)
+{
+    ScanModel<u64> model = filledModel(512);
+    model.tags[400] = model.tags[3];
+    const std::vector<u8> image = model.image();
+    AssocCache<u64, u64> cache(1, 512, PolicyKind::Lru);
+    EXPECT_DEATH(loadImage(cache, image),
+                 "corrupt snapshot: duplicate tag in cache set 0");
 }
 
 // ---------------------------------------------------------------------

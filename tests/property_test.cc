@@ -16,6 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdio>
+#include <cstring>
+#include <ostream>
 #include <vector>
 
 #include "core/system.hh"
@@ -38,6 +42,37 @@ struct SoupParam
      * Small values force the key-recycling path under the soup. */
     u64 pkeys = 0;
 };
+
+/**
+ * gtest names each ctest entry after the printed parameter. Without a
+ * PrintTo it prints SoupParam's raw bytes, including the two padding
+ * bytes after `superPage`, which hold whatever the stack held, so the
+ * names could differ between two listings. This prints the same byte
+ * dump with the padding as zero: the names stay stable, and stay the
+ * ones the suite has always listed.
+ */
+void
+PrintTo(const SoupParam &param, std::ostream *os)
+{
+    static_assert(sizeof(SoupParam) == 24,
+                  "PrintTo copies every field: update it with the struct");
+    unsigned char bytes[sizeof(SoupParam)] = {};
+    const auto put = [&bytes](std::size_t offset, const auto &field) {
+        std::memcpy(bytes + offset, &field, sizeof field);
+    };
+    put(offsetof(SoupParam, model), param.model);
+    put(offsetof(SoupParam, purgeOnSwitch), param.purgeOnSwitch);
+    put(offsetof(SoupParam, superPage), param.superPage);
+    put(offsetof(SoupParam, seed), param.seed);
+    put(offsetof(SoupParam, pkeys), param.pkeys);
+    *os << sizeof bytes << "-byte object <";
+    for (std::size_t i = 0; i < sizeof bytes; ++i) {
+        char hex[3];
+        std::snprintf(hex, sizeof hex, "%02X", bytes[i]);
+        *os << (i == 0 ? "" : i % 2 == 0 ? " " : "-") << hex;
+    }
+    *os << ">";
+}
 
 std::string
 soupName(const ::testing::TestParamInfo<SoupParam> &info)
@@ -415,10 +450,12 @@ crossModelSoup(u64 seed, bool faults)
     }
     EXPECT_GT(agreed_allows, 100u);
     EXPECT_GT(agreed_denies, 100u);
-    if (faults)
-        for (auto &sys : systems)
+    if (faults) {
+        for (auto &sys : systems) {
             EXPECT_GT(sys->injector()->injected.value(), 0u)
                 << toString(sys->config().model);
+        }
+    }
 }
 
 } // namespace

@@ -178,10 +178,12 @@ TEST(ClusterPlbTest, RoutesEntriesByVpnRange)
         const unsigned owner = plb.bankOf(vpn);
         EXPECT_TRUE(plb.bank(owner).peek(1, pageVa(vpn)).has_value())
             << "vpn " << vpn;
-        for (unsigned b = 0; b < plb.clusters(); ++b)
-            if (b != owner)
+        for (unsigned b = 0; b < plb.clusters(); ++b) {
+            if (b != owner) {
                 EXPECT_FALSE(plb.bank(b).peek(1, pageVa(vpn)).has_value())
                     << "vpn " << vpn << " bank " << b;
+            }
+        }
     }
     EXPECT_EQ(plb.occupancy(), 5u);
     // Ranges 0,1,2,3 and 4 are live: vpn 16 shares bank 0 with vpn 0
