@@ -39,6 +39,8 @@ DataCache::DataCache(const DataCacheConfig &config, stats::Group *parent,
                              : 0.0;
               }),
       config_(config),
+      lineShift_(std::countr_zero(config.lineBytes)),
+      setMask_(config.sets() - 1),
       array_(config.sets(), config.ways, config.policy, config.seed)
 {
     SASOS_ASSERT(std::has_single_bit(config.lineBytes), "line size not 2^k");
@@ -51,7 +53,7 @@ std::size_t
 DataCache::indexOf(u64 vline, u64 pline) const
 {
     const u64 line = config_.org == CacheOrg::Pipt ? pline : vline;
-    return static_cast<std::size_t>(line & (config_.sets() - 1));
+    return static_cast<std::size_t>(line & setMask_);
 }
 
 u64
@@ -110,15 +112,13 @@ FlushResult
 DataCache::flushPage(vm::Vpn vpn, std::optional<vm::Pfn> pfn, int page_shift)
 {
     FlushResult result;
-    const u64 lines_per_page =
-        (u64{1} << page_shift) / config_.lineBytes;
-    const u64 first_vline =
-        (vpn.number() << page_shift) / config_.lineBytes;
+    const u64 lines_per_page = (u64{1} << page_shift) >> lineShift_;
+    const u64 first_vline = (vpn.number() << page_shift) >> lineShift_;
     u64 first_pline = 0;
     if (config_.org == CacheOrg::Pipt) {
         SASOS_ASSERT(pfn.has_value(),
                      "pipt flush needs the physical page");
-        first_pline = (pfn->number() << page_shift) / config_.lineBytes;
+        first_pline = (pfn->number() << page_shift) >> lineShift_;
     }
     for (u64 i = 0; i < lines_per_page; ++i) {
         ++result.lineAccesses;

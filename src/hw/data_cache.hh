@@ -154,13 +154,20 @@ class DataCache
         u64 pline = 0;
     };
 
-    u64 vlineOf(vm::VAddr va) const { return va.raw() / config_.lineBytes; }
-    u64 plineOf(vm::PAddr pa) const { return pa.raw() / config_.lineBytes; }
+    // Line size and set count are powers of two (asserted at
+    // construction), so the per-reference arithmetic is shifts and
+    // masks rather than divisions.
+    u64 vlineOf(vm::VAddr va) const { return va.raw() >> lineShift_; }
+    u64 plineOf(vm::PAddr pa) const { return pa.raw() >> lineShift_; }
 
     std::size_t indexOf(u64 vline, u64 pline) const;
     u64 tagOf(u64 vline, u64 pline) const;
 
     DataCacheConfig config_;
+    /** log2(lineBytes). */
+    int lineShift_;
+    /** sets() - 1. */
+    u64 setMask_;
     AssocCache<u64, LineState> array_;
 };
 

@@ -145,8 +145,15 @@ PageGroupManager::defaultGroupOf(vm::SegmentId seg)
 vm::Access
 PageGroupManager::defaultRightsOf(vm::SegmentId seg) const
 {
-    return expressVector(state_.segmentDefaultVector(seg), std::nullopt)
-        .rights;
+    // expressVector(segmentDefaultVector(seg), nullopt).rights, without
+    // building the vector or the member map: with no favored domain the
+    // representative is the union of the attach grants.
+    vm::Access rights = vm::Access::None;
+    for (DomainId id : state_.attachedDomains(seg)) {
+        if (const Domain *d = state_.findDomain(id))
+            rights = rights | d->prot.segmentRights(seg);
+    }
+    return rights;
 }
 
 PageGroupState
@@ -158,12 +165,9 @@ PageGroupManager::pageState(vm::Vpn vpn)
     const vm::Segment *seg = state_.segments.findByPage(vpn);
     if (seg == nullptr)
         return PageGroupState{kNullGroup, vm::Access::None};
-    if (!state_.hasPageMask(vpn) && state_.overrideDomains(vpn).empty()) {
-        const Expressed def =
-            expressVector(state_.segmentDefaultVector(seg->id),
-                          std::nullopt);
-        return PageGroupState{defaultGroupOf(seg->id), def.rights};
-    }
+    if (!state_.hasPageMask(vpn) && state_.overrideDomains(vpn).empty())
+        return PageGroupState{defaultGroupOf(seg->id),
+                              defaultRightsOf(seg->id)};
     return assignPage(vpn, std::nullopt);
 }
 

@@ -56,6 +56,11 @@ u64
 Rng::nextBelow(u64 bound)
 {
     SASOS_ASSERT(bound > 0, "nextBelow(0)");
+    // A power-of-two bound divides 2^64, so the rejection threshold
+    // below is 0 and the first draw is always taken: masking yields
+    // the same value from the same single draw.
+    if ((bound & (bound - 1)) == 0)
+        return next() & (bound - 1);
     // Rejection sampling to avoid modulo bias.
     const u64 threshold = -bound % bound;
     for (;;) {
@@ -119,16 +124,40 @@ ZipfDistribution::ZipfDistribution(std::size_t n, double theta)
     }
     for (auto &value : cdf_)
         value /= sum;
+    // guide_[k] = the first rank whose cdf is >= k/n (clamped to the
+    // last rank), for k < n: rankOf never reads k = n. One forward
+    // walk over the monotone cdf fills it.
+    guide_.resize(n);
+    std::size_t rank = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+        const double target =
+            static_cast<double>(k) / static_cast<double>(n);
+        while (rank < n - 1 && cdf_[rank] < target)
+            ++rank;
+        guide_[k] = rank;
+    }
+}
+
+std::size_t
+ZipfDistribution::rankOf(double u) const
+{
+    // Every rank below guide_[j - 1] has cdf < (j - 1)/n <= u, even
+    // when u * n rounds up to the next integer j, so walking forward
+    // from there finds exactly std::lower_bound's rank (or the last
+    // rank when no cdf reaches u, as before).
+    const std::size_t n = cdf_.size();
+    const std::size_t j =
+        std::min(static_cast<std::size_t>(u * static_cast<double>(n)), n);
+    std::size_t rank = j == 0 ? 0 : guide_[j - 1];
+    while (rank < n - 1 && cdf_[rank] < u)
+        ++rank;
+    return rank;
 }
 
 std::size_t
 ZipfDistribution::operator()(Rng &rng) const
 {
-    const double u = rng.nextReal();
-    auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    if (it == cdf_.end())
-        return cdf_.size() - 1;
-    return static_cast<std::size_t>(it - cdf_.begin());
+    return rankOf(rng.nextReal());
 }
 
 GeometricDistribution::GeometricDistribution(double p)

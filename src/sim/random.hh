@@ -70,9 +70,10 @@ class Rng
  * Zipf distribution over {0, ..., n-1} with skew theta.
  *
  * theta = 0 is uniform; larger theta concentrates probability on low
- * ranks. Implemented with a precomputed CDF and binary search, which
- * is exact and fast for the n (up to a few million pages) used by the
- * workload generators.
+ * ranks. Implemented with a precomputed CDF and an n-entry guide
+ * table (the first rank reaching each multiple of 1/n), so a draw
+ * starts next to its rank and walks forward a step or two instead of
+ * binary-searching. The rank drawn is exactly the CDF's lower bound.
  */
 class ZipfDistribution
 {
@@ -81,10 +82,18 @@ class ZipfDistribution
 
     std::size_t operator()(Rng &rng) const;
 
+    /** The rank a uniform draw u in [0, 1) maps to: the first rank
+     * whose cdf is >= u, or the last rank if none is. */
+    std::size_t rankOf(double u) const;
+
     std::size_t size() const { return cdf_.size(); }
+
+    /** cdf()[i] = P(rank <= i); non-decreasing, ending at 1. */
+    const std::vector<double> &cdf() const { return cdf_; }
 
   private:
     std::vector<double> cdf_;
+    std::vector<std::size_t> guide_;
 };
 
 /** Geometric distribution: number of failures before first success. */

@@ -269,3 +269,113 @@ TEST(GoldenReplayTest, McStatsJsonMatchesCheckedInSnapshot)
         << "golden multi-core stats diverged; if intentional, "
            "regenerate with SASOS_GOLDEN_REGEN=1";
 }
+
+/** Frame churn under small caches: demand maps, unmaps, remaps and a
+ * CoW fork, so the physical frames each page ends up on -- and with
+ * them the physically indexed L2's set conflicts -- are pinned by
+ * tests/data/golden_frame_churn.txt. The L1 (4 KB) indexes inside the
+ * page offset, so every page's first line meets in one L1 set and
+ * goes on to the direct-mapped 16 KB L2, whose set index takes two
+ * bits of the frame number. Any change to the order in which freed
+ * and fresh frames are handed out shows up as a diff. Regenerate
+ * (and review the diff!) with SASOS_GOLDEN_REGEN=1 after intentional
+ * changes. */
+TEST(GoldenReplayTest, FrameChurnMatchesCheckedInSnapshot)
+{
+    constexpr u64 kPages = 16;
+    std::ostringstream actual;
+    for (core::ModelKind kind :
+         {core::ModelKind::Plb, core::ModelKind::PageGroup,
+          core::ModelKind::Conventional, core::ModelKind::Pkey}) {
+        core::SystemConfig config = core::SystemConfig::forModel(kind);
+        config.cache.sizeBytes = 4 * 1024;
+        config.l2.sizeBytes = 16 * 1024;
+        config.l2.ways = 1;
+        core::System sys(config);
+        auto &kernel = sys.kernel();
+        const os::DomainId parent = kernel.createDomain("parent");
+        const os::DomainId child = kernel.createDomain("child");
+        const vm::SegmentId heap = kernel.createSegment("heap", kPages);
+        kernel.attach(parent, heap, vm::Access::ReadWrite);
+        const vm::VAddr base = sys.state().segments.find(heap)->base();
+        const auto page = [](vm::VAddr seg_base, u64 i) {
+            return seg_base + i * vm::kPageBytes;
+        };
+
+        // Demand-map every page, free four frames, then map two of
+        // the pages back onto freed frames.
+        kernel.switchTo(parent);
+        for (u64 i = 0; i < kPages; ++i)
+            sys.store(page(base, i));
+        for (u64 i : {3, 7, 8, 12})
+            kernel.unmapPage(vm::pageOf(page(base, i)));
+        for (u64 i : {12, 3})
+            sys.store(page(base, i));
+
+        // CoW fork: stores on either side copy shared frames, and the
+        // child's first touch of a page unmapped in the parent maps a
+        // fresh one.
+        const vm::SegmentId copy = kernel.forkSegmentCow(
+            heap, child, vm::Access::ReadWrite, "copy");
+        const vm::VAddr copy_base = sys.state().segments.find(copy)->base();
+        kernel.switchTo(child);
+        for (u64 i : {0, 1, 2, 4, 7})
+            sys.store(page(copy_base, i));
+        kernel.switchTo(parent);
+        for (u64 i : {5, 8})
+            sys.store(page(base, i));
+
+        // Load page pairs' first lines as a, b, a: b displaces a from
+        // the L1, so a's second load hits in the L2 unless the two
+        // frames share a colour (and are not one shared frame). Pair
+        // each parent page with its child copy and with two other
+        // parent pages.
+        const auto pair = [&](os::DomainId b_domain, vm::VAddr a,
+                              vm::VAddr b) {
+            kernel.switchTo(parent);
+            sys.load(a);
+            kernel.switchTo(b_domain);
+            sys.load(b);
+            kernel.switchTo(parent);
+            sys.load(a);
+        };
+        for (u64 i = 0; i < kPages; ++i) {
+            pair(child, page(base, i), page(copy_base, i));
+            pair(parent, page(base, i), page(base, (i + 1) % kPages));
+            pair(parent, page(base, i), page(base, (i + 6) % kPages));
+        }
+
+        actual << "==== " << core::toString(kind) << " ====\n";
+        for (vm::VAddr seg_base : {base, copy_base}) {
+            for (u64 i = 0; i < kPages; ++i) {
+                const vm::Vpn vpn = vm::pageOf(page(seg_base, i));
+                const vm::Translation *t = sys.state().pageTable.lookup(vpn);
+                actual << "vpn " << vpn.number() << " pfn ";
+                if (t == nullptr)
+                    actual << "-";
+                else
+                    actual << t->pfn.number();
+                actual << "\n";
+            }
+        }
+        sys.dumpStats(actual);
+        actual << "\n";
+    }
+
+    const std::string expected_path = dataPath("golden_frame_churn.txt");
+    if (std::getenv("SASOS_GOLDEN_REGEN") != nullptr) {
+        std::ofstream out(expected_path);
+        out << actual.str();
+        GTEST_SKIP() << "regenerated " << expected_path;
+    }
+
+    std::ifstream in(expected_path);
+    ASSERT_TRUE(in.good())
+        << "missing " << expected_path
+        << "; run with SASOS_GOLDEN_REGEN=1 to create it";
+    std::stringstream expected;
+    expected << in.rdbuf();
+    EXPECT_EQ(actual.str(), expected.str())
+        << "golden frame churn diverged; if intentional, regenerate with "
+           "SASOS_GOLDEN_REGEN=1";
+}

@@ -13,8 +13,11 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <optional>
+#include <ostream>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "hw/assoc_cache.hh"
 #include "hw/data_cache.hh"
@@ -799,4 +802,240 @@ TEST(DataCacheTest, ContainsVirtualLineReflectsContents)
     EXPECT_FALSE(cache.containsVirtualLine(va.raw() / config.lineBytes));
     cache.fill(va, vm::PAddr(0x72000), false);
     EXPECT_TRUE(cache.containsVirtualLine(va.raw() / config.lineBytes));
+}
+
+// ---------------------------------------------------------------------
+// Geometry sweep: the shift/mask DataCache against a division model
+
+namespace
+{
+
+/** One data-cache geometry. No padding, so gtest's byte dump of it
+ * (part of each ctest name) is the same on every build and run. */
+struct CacheGeometry
+{
+    u64 sizeBytes;
+    u32 lineBytes;
+    u32 ways;
+    CacheOrg org;
+    u32 pad = 0;
+};
+static_assert(std::has_unique_object_representations_v<CacheGeometry>);
+
+void
+PrintTo(const CacheGeometry &g, std::ostream *os)
+{
+    *os << g.sizeBytes << "B/" << g.lineBytes << "B-line/" << g.ways
+        << "-way/" << toString(g.org);
+}
+
+/**
+ * The data cache restated with divisions and modulos over a per-set
+ * LRU list, kept independent of DataCache's shifts and masks.
+ */
+class DivisionCacheModel
+{
+  public:
+    explicit DivisionCacheModel(const CacheGeometry &g)
+        : g_(g), sets_(g.sizeBytes / g.lineBytes / g.ways), lines_(sets_)
+    {
+    }
+
+    bool
+    access(u64 va, u64 pa, bool store)
+    {
+        const Line probe{va / g_.lineBytes, pa / g_.lineBytes, false};
+        auto &set = lines_[setOf(probe.vline, probe.pline)];
+        for (auto it = set.begin(); it != set.end(); ++it) {
+            if (tagOf(*it) == tagOf(probe)) {
+                Line line = *it;
+                line.dirty = line.dirty || store;
+                set.erase(it);
+                set.push_back(line); // most recent at the back
+                return true;
+            }
+        }
+        return false;
+    }
+
+    std::optional<CacheVictim>
+    fill(u64 va, u64 pa, bool store)
+    {
+        const Line line{va / g_.lineBytes, pa / g_.lineBytes, store};
+        auto &set = lines_[setOf(line.vline, line.pline)];
+        std::optional<CacheVictim> victim;
+        if (set.size() == g_.ways) {
+            const Line &lru = set.front();
+            victim = CacheVictim{lru.vline, lru.pline, lru.dirty};
+            set.pop_front();
+        }
+        set.push_back(line);
+        return victim;
+    }
+
+    FlushResult
+    flushPage(u64 vpn, u64 pfn, int page_shift)
+    {
+        FlushResult result;
+        const u64 per_page = (u64{1} << page_shift) / g_.lineBytes;
+        const u64 first_vline = (vpn << page_shift) / g_.lineBytes;
+        const u64 first_pline = (pfn << page_shift) / g_.lineBytes;
+        for (u64 i = 0; i < per_page; ++i) {
+            ++result.lineAccesses;
+            const u64 vline = first_vline + i;
+            const u64 pline = first_pline + i;
+            auto &set = lines_[setOf(vline, pline)];
+            for (auto it = set.begin(); it != set.end(); ++it) {
+                const bool match = g_.org == CacheOrg::Pipt
+                                       ? it->pline == pline
+                                       : it->vline == vline;
+                if (match) {
+                    ++result.invalidated;
+                    result.writebacks += it->dirty;
+                    set.erase(it);
+                    break;
+                }
+            }
+        }
+        return result;
+    }
+
+    std::size_t
+    occupancy() const
+    {
+        std::size_t n = 0;
+        for (const auto &set : lines_)
+            n += set.size();
+        return n;
+    }
+
+  private:
+    struct Line
+    {
+        u64 vline;
+        u64 pline;
+        bool dirty;
+    };
+
+    std::size_t
+    setOf(u64 vline, u64 pline) const
+    {
+        return (g_.org == CacheOrg::Pipt ? pline : vline) % sets_;
+    }
+
+    u64
+    tagOf(const Line &line) const
+    {
+        return g_.org == CacheOrg::Vivt ? line.vline : line.pline;
+    }
+
+    CacheGeometry g_;
+    u64 sets_;
+    std::vector<std::list<Line>> lines_;
+};
+
+std::vector<CacheGeometry>
+cacheGeometries()
+{
+    std::vector<CacheGeometry> out;
+    for (u64 size : {u64{2048}, u64{16384}})
+        for (u32 line : {16u, 32u, 64u, 128u})
+            for (u32 ways : {1u, 2u, 4u, 8u})
+                for (CacheOrg org :
+                     {CacheOrg::Vivt, CacheOrg::Vipt, CacheOrg::Pipt})
+                    out.push_back(CacheGeometry{size, line, ways, org});
+    return out;
+}
+
+} // namespace
+
+class DataCacheGeometryTest : public ::testing::TestWithParam<CacheGeometry>
+{
+};
+
+TEST_P(DataCacheGeometryTest, MatchesDivisionModel)
+{
+    const CacheGeometry g = GetParam();
+    DataCacheConfig config;
+    config.sizeBytes = g.sizeBytes;
+    config.lineBytes = g.lineBytes;
+    config.ways = g.ways;
+    config.org = g.org;
+    stats::Group root("test");
+    DataCache cache(config, &root);
+    DivisionCacheModel model(g);
+
+    // 24 virtual pages over 16 frames: a fixed scattered translation,
+    // so virtual and physical set indexes differ.
+    constexpr u64 kPages = 24;
+    const auto pfn_of = [](u64 vpn) { return (vpn * 7 + 3) % 16; };
+    const auto pa_of = [&](u64 va) {
+        return (pfn_of(va >> vm::kPageShift) << vm::kPageShift) |
+               (va & (vm::kPageBytes - 1));
+    };
+    Rng rng(0xd47a);
+    for (int op = 0; op < 20000; ++op) {
+        if (rng.nextBelow(16) == 0) {
+            // Flush a base page, or an 8 KB block (two base pages
+            // whose translations are flushed as one physical run).
+            const int shift = vm::kPageShift + static_cast<int>(
+                                                   rng.nextBelow(2));
+            const u64 vpn = rng.nextBelow(kPages >> (shift - vm::kPageShift));
+            const u64 pfn = pfn_of(vpn << (shift - vm::kPageShift)) >>
+                            (shift - vm::kPageShift);
+            const FlushResult got =
+                cache.flushPage(vm::Vpn(vpn), vm::Pfn(pfn), shift);
+            const FlushResult want = model.flushPage(vpn, pfn, shift);
+            ASSERT_EQ(got.lineAccesses, want.lineAccesses) << "op " << op;
+            ASSERT_EQ(got.invalidated, want.invalidated) << "op " << op;
+            ASSERT_EQ(got.writebacks, want.writebacks) << "op " << op;
+        } else {
+            const u64 va = rng.nextBelow(kPages * vm::kPageBytes);
+            const u64 pa = pa_of(va);
+            const bool store = rng.nextBelow(4) == 0;
+            const bool hit =
+                cache.access(vm::VAddr(va), vm::PAddr(pa), store);
+            ASSERT_EQ(hit, model.access(va, pa, store)) << "op " << op;
+            if (!hit) {
+                const auto got = cache.fill(vm::VAddr(va), vm::PAddr(pa),
+                                            store);
+                const auto want = model.fill(va, pa, store);
+                ASSERT_EQ(got.has_value(), want.has_value()) << "op " << op;
+                if (got) {
+                    EXPECT_EQ(got->vline, want->vline) << "op " << op;
+                    EXPECT_EQ(got->pline, want->pline) << "op " << op;
+                    EXPECT_EQ(got->dirty, want->dirty) << "op " << op;
+                }
+            }
+        }
+        ASSERT_EQ(cache.occupancy(), model.occupancy()) << "op " << op;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, DataCacheGeometryTest,
+    ::testing::ValuesIn(cacheGeometries()),
+    [](const ::testing::TestParamInfo<CacheGeometry> &info) {
+        const CacheGeometry &g = info.param;
+        return "s" + std::to_string(g.sizeBytes) + "_l" +
+               std::to_string(g.lineBytes) + "_w" + std::to_string(g.ways) +
+               "_" + toString(g.org);
+    });
+
+TEST(DataCacheDeathTest, RejectsNonPowerOfTwoLineSize)
+{
+    stats::Group root("test");
+    DataCacheConfig config;
+    config.sizeBytes = 4 * 1024;
+    config.lineBytes = 48;
+    EXPECT_DEATH({ DataCache cache(config, &root); }, "line size not 2\\^k");
+}
+
+TEST(DataCacheDeathTest, RejectsNonPowerOfTwoSetCount)
+{
+    stats::Group root("test");
+    DataCacheConfig config;
+    config.sizeBytes = 3 * 1024; // 96 sets of one 32-byte line
+    config.lineBytes = 32;
+    EXPECT_DEATH({ DataCache cache(config, &root); }, "set count not 2\\^k");
 }

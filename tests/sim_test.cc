@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <tuple>
 
 #include "sim/cost_model.hh"
 #include "sim/cycle_account.hh"
@@ -16,6 +19,7 @@
 #include "sim/stats.hh"
 #include "sim/table.hh"
 #include "sim/types.hh"
+#include "snap/snapio.hh"
 
 using namespace sasos;
 
@@ -217,6 +221,121 @@ TEST(ZipfTest, SkewFavorsLowRanks)
         ++counts[zipf(rng)];
     EXPECT_GT(counts[0], counts[10]);
     EXPECT_GT(counts[10], counts[99]);
+}
+
+namespace
+{
+
+/** The rejection loop nextBelow ran for every bound before its
+ * power-of-two shortcut; the shortcut must agree with it value for
+ * value and draw for draw. */
+u64
+rejectionNextBelow(Rng &rng, u64 bound)
+{
+    const u64 threshold = -bound % bound;
+    for (;;) {
+        const u64 r = rng.next();
+        if (r >= threshold)
+            return r % bound;
+    }
+}
+
+std::vector<u8>
+rngState(const Rng &rng)
+{
+    snap::SnapWriter w;
+    rng.save(w);
+    return w.seal();
+}
+
+} // namespace
+
+TEST(RandomTest, NextBelowMatchesRejectionLoop)
+{
+    const u64 bounds[] = {1,
+                          2,
+                          3,
+                          6,
+                          512,
+                          u64{1} << 17,
+                          u64{1} << 32,
+                          u64{1} << 63,
+                          std::numeric_limits<u64>::max()};
+    for (u64 bound : bounds) {
+        Rng fast(0x5eed), reference(0x5eed);
+        for (int i = 0; i < 10000; ++i) {
+            ASSERT_EQ(fast.nextBelow(bound),
+                      rejectionNextBelow(reference, bound))
+                << "bound " << bound << " draw " << i;
+        }
+        // Same state afterwards: both consumed the same draws.
+        EXPECT_EQ(rngState(fast), rngState(reference)) << "bound " << bound;
+    }
+}
+
+/** (n, theta) of one Zipf guide-table check. */
+using ZipfParam = std::tuple<std::size_t, double>;
+
+class ZipfRankTest : public ::testing::TestWithParam<ZipfParam>
+{
+};
+
+TEST_P(ZipfRankTest, GuideTableMatchesLowerBound)
+{
+    const auto [n, theta] = GetParam();
+    const ZipfDistribution zipf(n, theta);
+    const std::vector<double> &cdf = zipf.cdf();
+    const auto lower_bound_rank = [&](double u) {
+        auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+        return it == cdf.end() ? n - 1
+                               : static_cast<std::size_t>(it - cdf.begin());
+    };
+    u64 mismatches = 0;
+    const auto check = [&](double u) {
+        if (!(u >= 0.0 && u < 1.0))
+            return;
+        if (zipf.rankOf(u) != lower_bound_rank(u) && ++mismatches <= 5)
+            ADD_FAILURE() << "u=" << u << " rankOf=" << zipf.rankOf(u)
+                          << " lower_bound=" << lower_bound_rank(u);
+    };
+    const auto check_around = [&](double u) {
+        check(u);
+        check(std::nextafter(u, 0.0));
+        check(std::nextafter(u, 1.0));
+    };
+    check(0.0);
+    check(1.0 - 0x1.0p-53);
+    for (double value : cdf)
+        check_around(value);
+    for (std::size_t k = 0; k <= n; ++k)
+        check_around(static_cast<double>(k) / static_cast<double>(n));
+    Rng rng(0x21bf);
+    for (int i = 0; i < 100000; ++i)
+        check(rng.nextReal());
+    EXPECT_EQ(mismatches, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Domains, ZipfRankTest,
+    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{2},
+                                         std::size_t{3}, std::size_t{7},
+                                         std::size_t{256}, std::size_t{4096},
+                                         std::size_t{1000000}),
+                       ::testing::Values(0.0, 0.5, 0.8, 0.99, 1.2)),
+    [](const ::testing::TestParamInfo<ZipfParam> &info) {
+        // theta in hundredths: theta0, theta50, ..., theta120.
+        const auto hundredths =
+            static_cast<int>(std::lround(std::get<1>(info.param) * 100));
+        return "n" + std::to_string(std::get<0>(info.param)) + "_theta" +
+               std::to_string(hundredths);
+    });
+
+TEST(ZipfTest, DrawIsRankOfNextReal)
+{
+    ZipfDistribution zipf(1000, 0.99);
+    Rng draws(31), reals(31);
+    for (int i = 0; i < 10000; ++i)
+        ASSERT_EQ(zipf(draws), zipf.rankOf(reals.nextReal()));
 }
 
 TEST(GeometricTest, MeanMatches)
